@@ -1,0 +1,157 @@
+"""Pinned SHA3-256 digests of the program's byte-deterministic outputs.
+
+Each digest was taken once and frozen: a refactor or a speed-up that
+changes any of these bytes changes behaviour, and must say so.
+"""
+
+import hashlib
+import io
+import struct
+from fractions import Fraction
+
+from conftest import certification_setup
+
+from faircert import fixedpoint as fx
+from faircert.augmentor import AugmentorConfig
+from faircert.crypto import Certificate
+from faircert.dealer import encode_test_bundle
+from faircert.experiments import run_coverage, write_coverage_csv
+from faircert.fairness import FairnessMetric, FairnessSpec
+from faircert.model import (
+    BiasedModel,
+    Dataset,
+    LinearModel,
+    LookupModel,
+    PlantedConfig,
+    Sample,
+    generate_planted,
+    predict,
+)
+from faircert.protocol import run_certification_local
+
+AUG = AugmentorConfig(
+    master_seed=b"\x77" * 8,
+    noise_sigma=fx.ONE // 100,
+    mask_prob=Fraction(1, 10),
+    invoke_prob=Fraction(1, 2),
+)
+AUG_SPEC = FairnessSpec(
+    metric=FairnessMetric.ORE,
+    epsilon=Fraction(1, 2),
+    delta=Fraction(1, 5),
+    alpha=Fraction(1, 2),
+)
+
+THREE_LABELS = PlantedConfig(
+    cell_weights=(
+        (Fraction(1, 6), Fraction(1, 6), Fraction(1, 6)),
+        (Fraction(1, 6), Fraction(1, 6), Fraction(1, 6)),
+    ),
+    error_rates=(Fraction(1, 10), Fraction(3, 10)),
+    seed=b"\x13" * 8,
+    noise_dims=3,
+)
+
+# Six features: a one-hot block of three labels and three noise coordinates.
+# Row 0 saturates upwards, row 1 downwards, row 2 mixes signs and zeros.
+WIDE = LinearModel(
+    dimension=6,
+    num_labels=3,
+    weights=(
+        (fx.INT32_MAX, fx.INT32_MAX - 7, 0, 3 * fx.ONE, -fx.ONE // 3, 0),
+        (fx.INT32_MIN, 0, fx.INT32_MIN + 5, fx.ONE // 2, 0, 9 * fx.ONE),
+        (fx.ONE, -fx.ONE, 0, 0, fx.INT32_MAX // 2, fx.INT32_MIN // 3),
+    ),
+    biases=(fx.INT32_MAX - 3, fx.INT32_MIN + 11, -fx.ONE),
+)
+
+
+def sha3(data: bytes) -> str:
+    return hashlib.sha3_256(data).hexdigest()
+
+
+def planted_set(count=400):
+    return generate_planted(THREE_LABELS, 0, group_counts=(count, count))[0]
+
+
+def labels_digest(model, dataset) -> str:
+    preds = [predict(model, s) for s in dataset.samples]
+    return sha3(struct.pack(f"<{len(preds)}H", *preds))
+
+
+def test_private_bundle_bytes():
+    regulator, _, _, _ = certification_setup(group_counts=(200, 200))
+    bundle = encode_test_bundle(regulator.spec, regulator.dataset, regulator.aug)
+    assert sha3(bundle) == "25b5b69b098850ff0618365457809470fa9d700822ae60938a17bd0840578e5b"
+
+
+def test_augmented_bundle_bytes():
+    regulator, _, _, _ = certification_setup(
+        group_counts=(200, 200), spec=AUG_SPEC, aug=AUG
+    )
+    bundle = encode_test_bundle(regulator.spec, regulator.dataset, regulator.aug)
+    assert sha3(bundle) == "175ed8758eb80f9743fc75ccef785a2c49adceff4a6dfa12ef98fd7b03f7a118"
+
+
+def _certify(**kwargs):
+    regulator, server, _, _ = certification_setup(group_counts=(200, 200), **kwargs)
+    run = run_certification_local(regulator, server)
+    assert isinstance(run.regulator_result, Certificate)
+    return run.regulator_result.to_bytes(), "\n".join(run.session.transcript_lines())
+
+
+def test_private_certificate_and_transcript():
+    cert, transcript = _certify()
+    assert sha3(cert) == "aeb3f82d51d826db86764503c38ca920063c2fbea00d584e5ea3456d771c067b"
+    assert sha3(transcript.encode()) == "9805fb3b461b538bf69b4c053bec8af5b1b8ee20dc49d8e47ff7a4c1d4749906"
+
+
+def test_augmented_certificate_and_transcript():
+    cert, transcript = _certify(spec=AUG_SPEC, aug=AUG)
+    assert sha3(cert) == "070adbcfa7b7e5cab61a3a151462137b70f884141f03587f672d7382c9217a9d"
+    assert sha3(transcript.encode()) == "a16361f6f360ce8d0bc2913abb33b763b714e427fc17a706e12c3a26cebc2689"
+
+
+def test_linear_predictions():
+    assert labels_digest(WIDE, planted_set()) == "f9e9777e9f34137e95f78783a282330d4eb99453a6a8f952daf3fe50028d716b"
+
+
+def test_lookup_predictions():
+    # The lookup reads the first feature's integer part; spread it over
+    # [-5, 5) by moving a scaled noise coordinate to the front.
+    planted = planted_set()
+    spread = Dataset(
+        planted.dimension,
+        planted.num_groups,
+        planted.num_labels,
+        tuple(
+            Sample((5 * s.features[3],) + s.features[1:], s.group, s.label)
+            for s in planted.samples
+        ),
+    )
+    lookup = LookupModel(dimension=6, num_labels=3, table=(2, 0, 1, 1, 0, 2, 1))
+    assert labels_digest(lookup, spread) == "6df2a59c3231c874721064262cfb57d3db4cf1efa1b3ee5b812b50892b4356d8"
+
+
+def test_biased_predictions():
+    biased = BiasedModel(
+        inner=WIDE,
+        flip_rates=(Fraction(1, 4), Fraction(3, 5)),
+        seed=b"\x2a" * 8,
+    )
+    assert labels_digest(biased, planted_set()) == "e95eda3aa07fb30281e430c78cbb5eaecb67eb90a237d3c6ae5c762bbe9aa012"
+
+
+def test_coverage_csv():
+    spec = FairnessSpec(
+        metric=FairnessMetric.ORE, epsilon=Fraction(1, 5), delta=Fraction(1, 5)
+    )
+    config = PlantedConfig(
+        cell_weights=((Fraction(1, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 4))),
+        error_rates=(Fraction(1, 20), Fraction(1, 10)),
+        seed=b"\x07" * 8,
+    )
+    results = run_coverage(config, spec, 6, group_counts=(150, 150))
+    out = io.StringIO()
+    write_coverage_csv(out, results)
+    assert sha3(out.getvalue().encode()) == "bff89a5d93893de747346acf62f87c7852db9e6e1c82ab8bbfe008800f77fd6f"
