@@ -171,7 +171,7 @@ def cmd_gen_data(args) -> int:
     dataset, _, gaps = generate_planted(config, args.m, group_counts=group_counts)
     with open(args.out, "wb") as fh:
         fh.write(encode_dataset(dataset))
-    print(f"samples: {len(dataset.samples)}")
+    print(f"samples: {len(dataset.groups)}")
     print(f"true ore gap: {float(gaps.ore):.6f}")
     print(f"true eo gap: {float(gaps.eo):.6f}")
     print(f"true dp gap: {float(gaps.dp):.6f}")
@@ -377,7 +377,7 @@ def cmd_attack_knn(args) -> int:
     )
     eval_dataset, _, _ = generate_planted(eval_cfg, args.eval_size)
     points = knn_attack_sweep(
-        fair, unfair, [s.features for s in reference.samples], eval_dataset,
+        fair, unfair, reference.features, eval_dataset,
         _parse_taus(args.taus),
     )
     fh, owned = _open_out(args.out)

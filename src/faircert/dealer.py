@@ -7,13 +7,15 @@ output. The session records two things auditors care about: a leakage log
 transcript of the messages (input / compute / output / abort) suitable for
 line-oriented audit files.
 
-Two circuits exist. The certification circuit evaluates the server's model
-on the regulator's test bundle (augmenting it first when the bundle says so)
-and decides fairness with division-free integer comparisons: the gap test
-|err0*m1 - err1*m0| * 10**6 < threshold_micro * m0 * m1 per comparable pair,
-never forming a quotient. The inference circuit returns the model's label
-for one query plus the Merkle digest of the model bytes actually used, which
-is what lets the client check the certificate afterwards.
+Two circuits exist, and each parses its two inputs once, in its suitability
+step. The certification circuit evaluates the server's model on the
+regulator's test bundle in one batch (augmenting it first when the bundle
+says so) and decides fairness with division-free integer comparisons: the
+gap test |err0*m1 - err1*m0| * 10**6 < threshold_micro * m0 * m1 per
+comparable pair, never forming a quotient. The inference circuit returns
+the model's label for one query plus the Merkle digest of the model bytes
+actually used, which is what lets the client check the certificate
+afterwards.
 """
 
 from __future__ import annotations
@@ -37,16 +39,18 @@ from .fairness import (
     to_micro,
 )
 from .model import (
+    BiasedModel,
     Dataset,
-    DimensionMismatchError,
     MalformedDatasetError,
     MalformedModelError,
+    ModelSpec,
     Sample,
     decode_dataset,
     encode_dataset,
     deserialize_model,
     parameter_count,
     predict,
+    predict_batch,
     serialize_model,
 )
 
@@ -66,6 +70,7 @@ ABORT_SIZE_MISMATCH = "SIZE_MISMATCH"
 ABORT_MALFORMED_MODEL = "MALFORMED_MODEL"
 ABORT_EMPTY_CELL = "EMPTY_CELL"
 ABORT_DIMENSION_MISMATCH = "DIMENSION_MISMATCH"
+ABORT_GROUP_MISMATCH = "GROUP_MISMATCH"
 
 MODE_PRIVATE_BYTE = 0
 MODE_AUGMENTED_BYTE = 1
@@ -101,14 +106,22 @@ def encode_test_bundle(
 def decode_test_bundle(
     data: bytes,
 ) -> tuple[FairnessSpec, Dataset, AugmentorConfig | None]:
-    spec, offset = decode_fairness_spec(data, 0)
+    """Inverse of encode_test_bundle; any malformed part raises
+    MalformedDatasetError."""
+    try:
+        spec, offset = decode_fairness_spec(data, 0)
+    except ValueError as exc:
+        raise MalformedDatasetError(f"bundle spec: {exc}") from exc
     if offset >= len(data):
         raise MalformedDatasetError("bundle missing mode byte")
     mode = data[offset]
     offset += 1
     aug = None
     if mode == MODE_AUGMENTED_BYTE:
-        aug = AugmentorConfig.decode(data[offset : offset + 24])
+        try:
+            aug = AugmentorConfig.decode(data[offset : offset + 24])
+        except ValueError as exc:
+            raise MalformedDatasetError(f"bundle augmentor config: {exc}") from exc
         offset += 24
     elif mode != MODE_PRIVATE_BYTE:
         raise MalformedDatasetError(f"unknown bundle mode {mode}")
@@ -161,38 +174,53 @@ def certification_decision(spec: FairnessSpec, table: GroupRiskTable) -> bool:
     return min(relevant_counts(table, spec.metric)) >= required
 
 
-# Circuits: suitability(x1, x2) raises SessionAbort; evaluate returns the
-# per-party outputs as named parts so deliveries can be audited by name.
+# Circuits: suitability(x1, x2) parses both inputs once, raising SessionAbort
+# on any it cannot use, and returns what it parsed; evaluate(x1, parsed)
+# returns the per-party outputs as named parts so deliveries can be audited
+# by name.
 
 _Parts = list[tuple[str, bytes]]
 
 
-def _cert_suitability(model_bytes: bytes, bundle_bytes: bytes) -> None:
+@dataclass(frozen=True)
+class _CertInputs:
+    model: ModelSpec
+    spec: FairnessSpec
+    dataset: Dataset
+    aug: AugmentorConfig | None
+
+
+def _parse_model(model_bytes: bytes) -> ModelSpec:
+    try:
+        return deserialize_model(model_bytes)
+    except MalformedModelError:
+        raise SessionAbort(ABORT_MALFORMED_MODEL) from None
+
+
+def _cert_suitability(model_bytes: bytes, bundle_bytes: bytes) -> _CertInputs:
     if len(model_bytes) < 15:
         raise SessionAbort(ABORT_SIZE_MISMATCH)
     try:
-        _, dataset, _ = decode_test_bundle(bundle_bytes)
+        spec, dataset, aug = decode_test_bundle(bundle_bytes)
     except ValueError:
         raise SessionAbort(ABORT_SIZE_MISMATCH) from None
-    if not dataset.samples:
+    if not dataset.groups:
         raise SessionAbort(ABORT_SIZE_MISMATCH)
+    model = _parse_model(model_bytes)
+    if model.dimension != dataset.dimension:
+        raise SessionAbort(ABORT_DIMENSION_MISMATCH)
+    if isinstance(model, BiasedModel) and len(model.flip_rates) < dataset.num_groups:
+        raise SessionAbort(ABORT_GROUP_MISMATCH)
+    return _CertInputs(model, spec, dataset, aug)
 
 
-def _cert_evaluate(model_bytes: bytes, bundle_bytes: bytes) -> tuple[_Parts, _Parts]:
+def _cert_evaluate(model_bytes: bytes, inputs: _CertInputs) -> tuple[_Parts, _Parts]:
+    dataset = inputs.dataset
+    if inputs.aug is not None:
+        dataset = augment_dataset(inputs.aug, dataset)
+    table = build_risk_table(dataset, predict_batch(inputs.model, dataset))
     try:
-        model = deserialize_model(model_bytes)
-    except MalformedModelError:
-        raise SessionAbort(ABORT_MALFORMED_MODEL) from None
-    spec, dataset, aug = decode_test_bundle(bundle_bytes)
-    if aug is not None:
-        dataset = augment_dataset(aug, dataset)
-    try:
-        predictions = [predict(model, s) for s in dataset.samples]
-    except DimensionMismatchError:
-        raise SessionAbort(ABORT_DIMENSION_MISMATCH) from None
-    table = build_risk_table(dataset, predictions)
-    try:
-        fair = certification_decision(spec, table)
+        fair = certification_decision(inputs.spec, table)
     except EmptyCellError:
         raise SessionAbort(ABORT_EMPTY_CELL) from None
     digest = merkle_root(model_bytes)
@@ -218,28 +246,28 @@ def decode_query(data: bytes) -> tuple[int, ...]:
     return struct.unpack_from(f"<{dim}i", data, 4)
 
 
-def _infer_suitability(model_bytes: bytes, query_bytes: bytes) -> None:
+def _infer_suitability(
+    model_bytes: bytes, query_bytes: bytes
+) -> tuple[ModelSpec, tuple[int, ...]]:
     if len(model_bytes) < 15:
         raise SessionAbort(ABORT_SIZE_MISMATCH)
     try:
         features = decode_query(query_bytes)
     except ValueError:
         raise SessionAbort(ABORT_SIZE_MISMATCH) from None
-    try:
-        model = deserialize_model(model_bytes)
-    except MalformedModelError:
-        raise SessionAbort(ABORT_MALFORMED_MODEL) from None
+    model = _parse_model(model_bytes)
     if len(features) != model.dimension:
         raise SessionAbort(ABORT_DIMENSION_MISMATCH)
+    return model, features
 
 
-def _infer_evaluate(model_bytes: bytes, query_bytes: bytes) -> tuple[_Parts, _Parts]:
-    model = deserialize_model(model_bytes)
-    features = decode_query(query_bytes)
+def _infer_evaluate(
+    model_bytes: bytes, inputs: tuple[ModelSpec, tuple[int, ...]]
+) -> tuple[_Parts, _Parts]:
+    model, features = inputs
     # A query carries no group; a wrapper model served for inference flips
     # by its first group's rate. Deployed models are linear or lookup.
-    sample = Sample(features=tuple(features), group=0, label=0)
-    label = predict(model, sample)
+    label = predict(model, Sample(features=tuple(features), group=0, label=0))
     digest = merkle_root(model_bytes)
     checker: _Parts = [
         ("prediction", struct.pack("<H", label)),
@@ -338,8 +366,7 @@ class FscSession:
         suitability, evaluate = _CIRCUITS[circuit_id]
         x1, x2 = self._inputs[PARTY_SERVER], self._inputs[PARTY_CHECKER]
         try:
-            suitability(x1, x2)
-            y1, y2 = evaluate(x1, x2)
+            y1, y2 = evaluate(x1, suitability(x1, x2))
         except SessionAbort as abort:
             self._abort(abort.reason)
             return

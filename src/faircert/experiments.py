@@ -29,9 +29,9 @@ from .model import (
     Dataset,
     ModelSpec,
     PlantedConfig,
-    Sample,
     generate_planted,
-    predict,
+    predict,  # noqa: F401  (bench/ traces predictions under this name)
+    predict_batch,
 )
 from .prg import derive_key
 
@@ -68,8 +68,7 @@ def run_coverage(
     for t in range(trials):
         cfg = replace(config, seed=derive_key(config.seed, f"trial-{t}"))
         dataset, model, gaps = generate_planted(cfg, m, group_counts=group_counts)
-        predictions = [predict(model, s) for s in dataset.samples]
-        report = decide(spec, build_risk_table(dataset, predictions))
+        report = decide(spec, build_risk_table(dataset, predict_batch(model, dataset)))
         results.append(
             TrialResult(trial=t, true_gap=_gap_for_metric(gaps, spec.metric), report=report)
         )
@@ -93,6 +92,11 @@ def write_coverage_csv(fh, results: Sequence[TrialResult]) -> None:
         ["summary", f"{float(results[0].true_gap):.6f}", f"{mean_efg:.6f}",
          f"{float(pass_rate(results)):.6f}"]
     )
+
+
+def _accuracy(dataset: Dataset, predictions: Sequence[int]) -> Fraction:
+    correct = sum(1 for y, p in zip(dataset.labels, predictions) if y == p)
+    return Fraction(correct, len(predictions))
 
 
 @dataclass(frozen=True)
@@ -128,32 +132,27 @@ def knn_attack_sweep(
     if not reference_features:
         raise ValueError("reference set must be nonempty")
     nearest_sq = [
-        min(_squared_distance(s.features, ref) for ref in reference_features)
-        for s in eval_dataset.samples
+        min(_squared_distance(row, ref) for ref in reference_features)
+        for row in eval_dataset.features
     ]
+    # Predictions are pure, so each model labels the eval set once and each
+    # tau only chooses between the two labels.
+    fair = predict_batch(fair_model, eval_dataset)
+    unfair = predict_batch(unfair_model, eval_dataset)
     points = []
     for tau in taus:
         if tau < 0 or math.isnan(tau):
             raise ValueError("tau must be nonnegative")
         tau_sq = (tau * fx.ONE) ** 2 if not math.isinf(tau) else math.inf
-        predictions = []
-        routed_unfair = 0
-        for sample, d_sq in zip(eval_dataset.samples, nearest_sq):
-            if d_sq <= tau_sq:
-                predictions.append(predict(fair_model, sample))
-            else:
-                predictions.append(predict(unfair_model, sample))
-                routed_unfair += 1
+        routed = [d_sq > tau_sq for d_sq in nearest_sq]
+        predictions = [u if r else f for f, u, r in zip(fair, unfair, routed)]
         table = build_risk_table(eval_dataset, predictions)
-        correct = sum(
-            1 for s, p in zip(eval_dataset.samples, predictions) if s.label == p
-        )
         points.append(
             AttackPoint(
                 tau=tau,
-                accuracy=Fraction(correct, len(predictions)),
+                accuracy=_accuracy(eval_dataset, predictions),
                 efg=empirical_gap(table, FairnessMetric.ORE),
-                routed_unfair_fraction=Fraction(routed_unfair, len(predictions)),
+                routed_unfair_fraction=Fraction(sum(routed), len(predictions)),
             )
         )
     return points
@@ -189,15 +188,12 @@ def augmentation_sweep(
     for degree in degrees:
         aug = replace(base_aug, degree=degree)
         augmented = augment_dataset(aug, dataset)
-        predictions = [predict(model, s) for s in augmented.samples]
+        predictions = predict_batch(model, augmented)
         table = build_risk_table(augmented, predictions)
-        correct = sum(
-            1 for s, p in zip(augmented.samples, predictions) if s.label == p
-        )
         points.append(
             SweepPoint(
                 degree=degree,
-                accuracy=Fraction(correct, len(predictions)),
+                accuracy=_accuracy(augmented, predictions),
                 efg=empirical_gap(table, FairnessMetric.ORE),
             )
         )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
@@ -181,22 +182,22 @@ class GroupRiskTable:
 
 def build_risk_table(dataset: "Dataset", predictions: Sequence[int]) -> GroupRiskTable:
     """Tally a prediction vector against a labelled dataset."""
-    if len(predictions) != len(dataset.samples):
+    if len(predictions) != len(dataset.groups):
         raise LengthMismatchError(
-            f"{len(predictions)} predictions for {len(dataset.samples)} samples"
+            f"{len(predictions)} predictions for {len(dataset.groups)} samples"
         )
     num_g, num_y = dataset.num_groups, dataset.num_labels
     m_gy = [[0] * num_y for _ in range(num_g)]
     err_gy = [[0] * num_y for _ in range(num_g)]
     pred_gy = [[0] * num_y for _ in range(num_g)]
-    for sample, pred in zip(dataset.samples, predictions):
+    # One counting pass over (group, label, prediction); the cells are few.
+    for (g, y, pred), count in Counter(zip(dataset.groups, dataset.labels, predictions)).items():
         if not (0 <= pred < num_y):
             raise IdOutOfRangeError(f"prediction {pred} outside [0, {num_y})")
-        g, y = sample.group, sample.label
-        m_gy[g][y] += 1
-        pred_gy[g][pred] += 1
+        m_gy[g][y] += count
+        pred_gy[g][pred] += count
         if pred != y:
-            err_gy[g][y] += 1
+            err_gy[g][y] += count
     return GroupRiskTable(
         num_groups=num_g,
         num_labels=num_y,

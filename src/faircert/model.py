@@ -11,15 +11,20 @@ planting a known fairness gap).
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from itertools import compress, repeat
+from operator import itemgetter, mul, rshift
+from typing import Callable, Iterable, Sequence, Union
 
 from . import fixedpoint as fx
 from .fairness import micro_fraction, to_micro
-from .prg import CounterPrg, derive_key, hash_u64
+from .prg import CounterPrg, derive_key
+from .prg import hash_u64  # noqa: F401  (defines the flip draw; bench/ traces it here)
 
 MODEL_MAGIC = b"FAIRM1"
 DATASET_MAGIC = b"FDAT1"
@@ -61,73 +66,160 @@ class Sample:
     label: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Dataset:
+    """A labelled test set, held by column: sample i is features[i],
+    groups[i] and labels[i]. `samples` builds Sample objects on first use;
+    the circuits and the experiments work on the columns.
+    """
+
     dimension: int
     num_groups: int
     num_labels: int
-    samples: tuple[Sample, ...]
+    features: tuple[tuple[int, ...], ...]
+    groups: tuple[int, ...]
+    labels: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.dimension < 1 or self.num_groups < 1 or self.num_labels < 1:
+    def __init__(
+        self, dimension: int, num_groups: int, num_labels: int, samples: Iterable[Sample]
+    ) -> None:
+        samples = tuple(samples)
+        self._set_columns(
+            dimension,
+            num_groups,
+            num_labels,
+            tuple(s.features for s in samples),
+            tuple(s.group for s in samples),
+            tuple(s.label for s in samples),
+            checked_features=False,
+        )
+        self.__dict__["samples"] = samples
+
+    @classmethod
+    def from_columns(
+        cls,
+        dimension: int,
+        num_groups: int,
+        num_labels: int,
+        features: Iterable[tuple[int, ...]],
+        groups: Iterable[int],
+        labels: Iterable[int],
+        *,
+        checked_features: bool = False,
+    ) -> "Dataset":
+        """Build from columns. checked_features=True skips the per-row length
+        and int32 range checks, for rows already known to hold `dimension`
+        int32 values (decoded from the wire, or taken from another Dataset).
+        Group and label ranges are always checked."""
+        dataset = cls.__new__(cls)
+        dataset._set_columns(
+            dimension,
+            num_groups,
+            num_labels,
+            tuple(features),
+            tuple(groups),
+            tuple(labels),
+            checked_features=checked_features,
+        )
+        return dataset
+
+    def _set_columns(
+        self, dimension, num_groups, num_labels, features, groups, labels, *, checked_features
+    ) -> None:
+        for name, value in (
+            ("dimension", dimension),
+            ("num_groups", num_groups),
+            ("num_labels", num_labels),
+            ("features", features),
+            ("groups", groups),
+            ("labels", labels),
+        ):
+            object.__setattr__(self, name, value)
+        if dimension < 1 or num_groups < 1 or num_labels < 1:
             raise ValueError("dimension, groups and labels must be positive")
-        for s in self.samples:
-            if len(s.features) != self.dimension:
+        if not len(features) == len(groups) == len(labels):
+            raise ValueError("feature, group and label columns differ in length")
+        if not features:
+            return
+        if not checked_features:
+            bad = next((row for row in features if len(row) != dimension), None)
+            if bad is not None:
                 raise DimensionMismatchError(
-                    f"sample has {len(s.features)} features, expected {self.dimension}"
+                    f"sample has {len(bad)} features, expected {dimension}"
                 )
-            if not (0 <= s.group < self.num_groups):
-                raise IdOutOfRangeError(f"group {s.group} outside [0, {self.num_groups})")
-            if not (0 <= s.label < self.num_labels):
-                raise IdOutOfRangeError(f"label {s.label} outside [0, {self.num_labels})")
-            for v in s.features:
-                if not (fx.INT32_MIN <= v <= fx.INT32_MAX):
-                    raise ValueError("feature outside the signed 32-bit range")
+        for name, column, bound in (("group", groups, num_groups), ("label", labels, num_labels)):
+            low, high = min(column), max(column)
+            if low < 0 or high >= bound:
+                raise IdOutOfRangeError(f"{name} {low if low < 0 else high} outside [0, {bound})")
+        if not checked_features and (
+            min(map(min, features)) < fx.INT32_MIN or max(map(max, features)) > fx.INT32_MAX
+        ):
+            raise ValueError("feature outside the signed 32-bit range")
+
+    @functools.cached_property
+    def samples(self) -> tuple[Sample, ...]:
+        return tuple(map(Sample, self.features, self.groups, self.labels))
 
 
 def canonical_order(dataset: Dataset) -> Dataset:
     """Stable sort by group id; the public ordering used for certification."""
-    ordered = tuple(sorted(dataset.samples, key=lambda s: s.group))
-    return Dataset(dataset.dimension, dataset.num_groups, dataset.num_labels, ordered)
+    order = sorted(range(len(dataset.groups)), key=dataset.groups.__getitem__)
+    return Dataset.from_columns(
+        dataset.dimension,
+        dataset.num_groups,
+        dataset.num_labels,
+        [dataset.features[i] for i in order],
+        [dataset.groups[i] for i in order],
+        [dataset.labels[i] for i in order],
+        checked_features=True,
+    )
+
+
+_DATASET_HEADER = struct.Struct("<IIII")  # dimension, groups, labels, count
 
 
 def encode_dataset(dataset: Dataset) -> bytes:
-    parts = [
-        DATASET_MAGIC,
-        struct.pack(
-            "<IIII",
-            dataset.dimension,
-            dataset.num_groups,
-            dataset.num_labels,
-            len(dataset.samples),
-        ),
-    ]
-    for s in dataset.samples:
-        parts.append(struct.pack("<HH", s.group, s.label))
-        parts.append(struct.pack(f"<{dataset.dimension}i", *s.features))
-    return b"".join(parts)
+    """Magic, header, then per sample: group and label (u16), features (i32)."""
+    header = _DATASET_HEADER.pack(
+        dataset.dimension, dataset.num_groups, dataset.num_labels, len(dataset.groups)
+    )
+    record = struct.Struct(f"<HH{dataset.dimension}i").pack
+    return DATASET_MAGIC + header + b"".join(
+        record(g, y, *row)
+        for row, g, y in zip(dataset.features, dataset.groups, dataset.labels)
+    )
 
 
 def decode_dataset(data: bytes) -> Dataset:
     if not data.startswith(DATASET_MAGIC):
         raise MalformedDatasetError("bad dataset magic")
-    offset = len(DATASET_MAGIC)
-    try:
-        dim, groups, labels, count = struct.unpack_from("<IIII", data, offset)
-        offset += 16
-        samples = []
-        for _ in range(count):
-            g, y = struct.unpack_from("<HH", data, offset)
-            offset += 4
-            feats = struct.unpack_from(f"<{dim}i", data, offset)
-            offset += 4 * dim
-            samples.append(Sample(features=tuple(feats), group=g, label=y))
-    except struct.error as exc:
-        raise MalformedDatasetError("truncated dataset") from exc
-    if offset != len(data):
+    offset = len(DATASET_MAGIC) + _DATASET_HEADER.size
+    if len(data) < offset:
+        raise MalformedDatasetError("truncated dataset")
+    dim, groups, labels, count = _DATASET_HEADER.unpack_from(data, len(DATASET_MAGIC))
+    # The declared count is checked against the payload before any parsing.
+    payload = count * (4 + 4 * dim)
+    if payload > len(data) - offset:
+        raise MalformedDatasetError("truncated dataset")
+    if payload < len(data) - offset:
         raise MalformedDatasetError("trailing bytes after dataset")
+    records = memoryview(data)[offset:]
+    # Two strided passes, each skipping ('x') the other's bytes: the ids,
+    # then the feature rows, with no per-record tuple kept for either.
+    ids = list(struct.iter_unpack(f"<HH{4 * dim}x", records)) if count else []
+    features = list(struct.iter_unpack(f"<4x{dim}i", records)) if count else []
     try:
-        return Dataset(dim, groups, labels, tuple(samples))
+        # Each decoded row holds exactly dim int32 values, so only the group
+        # and label columns need a range check.
+        return Dataset.from_columns(
+            dim,
+            groups,
+            labels,
+            features,
+            [g for g, _ in ids],
+            [y for _, y in ids],
+            checked_features=True,
+        )
     except ValueError as exc:
         raise MalformedDatasetError(str(exc)) from exc
 
@@ -150,6 +242,10 @@ class LinearModel:
             if len(row) != self.dimension:
                 raise MalformedModelError("weight row length must equal the dimension")
 
+    @functools.cached_property
+    def _kernel(self) -> "Kernel":
+        return _linear_kernel(self)
+
 
 @dataclass(frozen=True)
 class LookupModel:
@@ -166,6 +262,10 @@ class LookupModel:
             raise MalformedModelError("lookup table must be nonempty")
         if any(not (0 <= v < self.num_labels) for v in self.table):
             raise MalformedModelError("table entries must be valid labels")
+
+    @functools.cached_property
+    def _kernel(self) -> "Kernel":
+        return _lookup_kernel(self)
 
 
 @dataclass(frozen=True)
@@ -202,43 +302,128 @@ class BiasedModel:
     def num_labels(self) -> int:
         return self.inner.num_labels
 
+    @functools.cached_property
+    def _kernel(self) -> "Kernel":
+        return _biased_kernel(self)
+
 
 ModelSpec = Union[LinearModel, LookupModel, BiasedModel]
 
 
-def _feature_bytes(features: tuple[int, ...]) -> bytes:
-    return struct.pack(f"<{len(features)}i", *features)
+# The prediction kernel. Each model object compiles itself once, on first
+# use, into a function from feature rows (and group ids) to labels;
+# predict() is that kernel over one sample, predict_batch() over a dataset.
+
+Rows = Sequence[tuple[int, ...]]
+Kernel = Callable[[Rows, Sequence[int]], list[int]]
+
+
+def _row_scores(weights: tuple[int, ...], bias: int) -> Callable[[Rows], list[int]]:
+    """fx.dot(weights, row, bias) for every row, with the same result.
+
+    Zero weights are skipped: mul(0, x) is 0, and adding 0 to an
+    accumulator that already lies in int32 leaves it unchanged.
+
+    Over int32 features, a term (w * x) >> 16 lies between its values at
+    x = INT32_MIN and x = INT32_MAX, one end at most 0 and the other at
+    least 0. If every term's range lies inside int32, and so do the bias
+    plus the sum of the lower ends and the bias plus the sum of the upper
+    ends, then no product and no prefix sum can saturate, and fx.dot is the
+    plain bias + sum((w * x) >> 16). A row failing this check, made once
+    from its weights, keeps the step-by-step saturating fx.dot.
+    """
+    b = fx.saturate(bias)
+    index = tuple(compress(range(len(weights)), weights))
+    ws = tuple(filter(None, weights))
+    ends = [
+        sorted((w * fx.INT32_MIN >> fx.FRACTION_BITS, w * fx.INT32_MAX >> fx.FRACTION_BITS))
+        for w in ws
+    ]
+    low, high = sum(lo for lo, _ in ends), sum(hi for _, hi in ends)
+    in_range = all(fx.INT32_MIN <= lo and hi <= fx.INT32_MAX for lo, hi in ends)
+    if not (in_range and fx.INT32_MIN <= b + low and b + high <= fx.INT32_MAX):
+        return lambda rows: [fx.dot(ws, [row[j] for j in index], b) for row in rows]
+    if not ws:
+        return lambda rows: [b] * len(rows)
+    if len(ws) == 1:
+        ((j, w),) = zip(index, ws)
+        return lambda rows: [b + (w * row[j] >> fx.FRACTION_BITS) for row in rows]
+    pick = itemgetter(*index)
+    shift = repeat(fx.FRACTION_BITS)
+    return lambda rows: [b + sum(map(rshift, map(mul, ws, pick(row)), shift)) for row in rows]
+
+
+def _linear_kernel(model: LinearModel) -> Kernel:
+    scorers = [_row_scores(w, b) for w, b in zip(model.weights, model.biases)]
+
+    def run(rows: Rows, groups: Sequence[int]) -> list[int]:
+        best = scorers[0](rows)
+        labels = [0] * len(rows)
+        for y in range(1, len(scorers)):
+            scores = scorers[y](rows)
+            # Strictly greater: the lowest label wins ties.
+            labels = [y if s > t else k for s, t, k in zip(scores, best, labels)]
+            best = list(map(max, best, scores))
+        return labels
+
+    return run
+
+
+def _lookup_kernel(model: LookupModel) -> Kernel:
+    table, size = model.table, len(model.table)
+    return lambda rows, groups: [table[(row[0] >> fx.FRACTION_BITS) % size] for row in rows]
+
+
+def _biased_kernel(model: BiasedModel) -> Kernel:
+    inner = model.inner._kernel
+    # The draw is hash_u64(_FLIP_TAG, seed, packed features) and the flip
+    # test draw * den < num * 2**64; for an integer draw that is
+    # draw < ceil(num * 2**64 / den). A zero rate never flips, unhashed.
+    limits = tuple(-(-r.numerator * _U64 // r.denominator) for r in model.flip_rates)
+    prefix = _FLIP_TAG + model.seed
+    pack = struct.Struct(f"<{model.dimension}i").pack
+    following = tuple((y + 1) % model.num_labels for y in range(model.num_labels))
+    sha3, from_bytes = hashlib.sha3_256, int.from_bytes
+
+    def run(rows: Rows, groups: Sequence[int]) -> list[int]:
+        if groups and (min(groups) < 0 or max(groups) >= len(limits)):
+            bad = min(groups) if min(groups) < 0 else max(groups)
+            raise IdOutOfRangeError(f"group {bad} has no flip rate (got {len(limits)})")
+        return [
+            following[y]
+            if limits[g] and from_bytes(sha3(prefix + pack(*row)).digest()[:8], "little") < limits[g]
+            else y
+            for y, g, row in zip(inner(rows, groups), groups, rows)
+        ]
+
+    return run
+
+
+def _kernel_of(model: ModelSpec) -> Kernel:
+    if not isinstance(model, (LinearModel, LookupModel, BiasedModel)):
+        raise TypeError(f"unknown model type {type(model)!r}")
+    return model._kernel
+
+
+def predict_batch(model: ModelSpec, dataset: Dataset) -> list[int]:
+    """Labels for every sample of a dataset, in order."""
+    if dataset.dimension != model.dimension:
+        raise DimensionMismatchError(
+            f"dataset has {dataset.dimension} features, model wants {model.dimension}"
+        )
+    return _kernel_of(model)(dataset.features, dataset.groups)
 
 
 def predict(model: ModelSpec, sample: Sample) -> int:
-    """Deterministic label for a sample; pure in (model bytes, sample)."""
+    """Deterministic label for a sample; pure in (model bytes, sample).
+    Features are raw Q16.16 values and must lie in int32, as in a Dataset."""
     if len(sample.features) != model.dimension:
         raise DimensionMismatchError(
             f"sample has {len(sample.features)} features, model wants {model.dimension}"
         )
-    if isinstance(model, LinearModel):
-        best = 0
-        best_score = fx.dot(model.weights[0], sample.features, model.biases[0])
-        for y in range(1, model.num_labels):
-            score = fx.dot(model.weights[y], sample.features, model.biases[y])
-            if score > best_score:
-                best, best_score = y, score
-        return best
-    if isinstance(model, LookupModel):
-        idx = (sample.features[0] >> fx.FRACTION_BITS) % len(model.table)
-        return model.table[idx]
-    if isinstance(model, BiasedModel):
-        if not (0 <= sample.group < len(model.flip_rates)):
-            raise IdOutOfRangeError(
-                f"group {sample.group} has no flip rate (got {len(model.flip_rates)})"
-            )
-        label = predict(model.inner, sample)
-        rate = model.flip_rates[sample.group]
-        draw = hash_u64(_FLIP_TAG, model.seed, _feature_bytes(sample.features))
-        if draw * rate.denominator < rate.numerator * _U64:
-            return (label + 1) % model.num_labels
-        return label
-    raise TypeError(f"unknown model type {type(model)!r}")
+    if min(sample.features) < fx.INT32_MIN or max(sample.features) > fx.INT32_MAX:
+        raise ValueError("feature outside the signed 32-bit range")
+    return _kernel_of(model)((sample.features,), (sample.group,))[0]
 
 
 def _header(arch: int, dimension: int, num_labels: int) -> bytes:
@@ -505,16 +690,19 @@ def generate_planted(
     required size are produced.
     """
     stream = CounterPrg(derive_key(config.seed, "data"))
-    labels = config.num_labels
-    samples = []
+    features, groups, labels = [], [], []
+
+    def draw(g: int, y: int) -> None:
+        features.append(_planted_features(config, y, stream))
+        groups.append(g)
+        labels.append(y)
+
     if group_counts is None:
         if m < 0:
             raise ValueError("m must be nonnegative")
         cumulative = _cumulative_cells(config)
         for _ in range(m):
-            cell = stream.choose_weighted(cumulative)
-            g, y = divmod(cell, labels)
-            samples.append(Sample(_planted_features(config, y, stream), g, y))
+            draw(*divmod(stream.choose_weighted(cumulative), config.num_labels))
     else:
         if len(group_counts) != config.num_groups:
             raise ValueError("one count per group required")
@@ -527,7 +715,8 @@ def generate_planted(
                 acc += w / total
                 cumulative.append((acc, y))
             for _ in range(count):
-                y = stream.choose_weighted(cumulative)
-                samples.append(Sample(_planted_features(config, y, stream), g, y))
-    dataset = Dataset(config.dimension, config.num_groups, labels, tuple(samples))
+                draw(g, stream.choose_weighted(cumulative))
+    dataset = Dataset.from_columns(
+        config.dimension, config.num_groups, config.num_labels, features, groups, labels
+    )
     return dataset, planted_model(config), true_gaps(config)

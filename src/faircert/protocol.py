@@ -33,6 +33,7 @@ import socket
 import struct
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -108,7 +109,13 @@ class Frame:
     payload: bytes
 
     def encode(self) -> bytes:
-        return struct.pack("<I", len(self.payload) + 1) + bytes([self.type]) + self.payload
+        """Wire bytes. No transport carries a frame whose length field would
+        exceed MAX_FRAME_BYTES, so such a frame is refused here, before it
+        is sent, on the in-process and the TCP transport alike."""
+        length = len(self.payload) + 1
+        if length > MAX_FRAME_BYTES:
+            raise ProtocolError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
+        return struct.pack("<I", length) + bytes([self.type]) + self.payload
 
 
 def decode_frame(data: bytes) -> Frame:
@@ -337,27 +344,30 @@ class Regulator:
         self.spec = spec
         self.aug = aug
         self.last_commitment: bytes | None = None
+        self._bundle: bytes | None = None
 
     def required_counts(self) -> tuple[int, tuple[int, ...]]:
         """(needed per cell, observed per cell) with the gap assumed 0."""
         from fractions import Fraction
 
-        needed = min_samples(
-            self.spec, Fraction(0), self.dataset.num_groups, self.dataset.num_labels
-        )
+        dataset = self.dataset
+        needed = min_samples(self.spec, Fraction(0), dataset.num_groups, dataset.num_labels)
         if self.spec.metric is FairnessMetric.EO:
-            counts = [
-                [0] * self.dataset.num_labels for _ in range(self.dataset.num_groups)
-            ]
-            for s in self.dataset.samples:
-                counts[s.group][s.label] += 1
-            observed = tuple(c for row in counts for c in row)
+            cells = Counter(zip(dataset.groups, dataset.labels))
+            observed = tuple(
+                cells[g, y] for g in range(dataset.num_groups) for y in range(dataset.num_labels)
+            )
         else:
-            per_group = [0] * self.dataset.num_groups
-            for s in self.dataset.samples:
-                per_group[s.group] += 1
-            observed = tuple(per_group)
+            per_group = Counter(dataset.groups)
+            observed = tuple(per_group[g] for g in range(dataset.num_groups))
         return needed, observed
+
+    def bundle(self) -> bytes:
+        """The test bundle fed to the dealer; encoded at the first
+        certification and reused by every later one."""
+        if self._bundle is None:
+            self._bundle = encode_test_bundle(self.spec, self.dataset, self.aug)
+        return self._bundle
 
     def precheck(self) -> bool:
         needed, observed = self.required_counts()
@@ -375,7 +385,7 @@ class Regulator:
         chan_s.send_frame(
             Frame(
                 FRAME_CERT_REQUEST,
-                encode_cert_request(self.spec, len(self.dataset.samples), aug_public),
+                encode_cert_request(self.spec, len(self.dataset.groups), aug_public),
             )
         )
         if self.aug is not None:
@@ -389,8 +399,7 @@ class Regulator:
         chan_f = dealer_factory()
         if exchange_hello(chan_f, ROLE_REGULATOR) != ROLE_DEALER:
             raise ProtocolError("peer did not identify as the dealer")
-        bundle = encode_test_bundle(self.spec, self.dataset, self.aug)
-        chan_f.send_frame(Frame(FRAME_COMPUTE_INPUT, bytes([CIRCUIT_CERT]) + bundle))
+        chan_f.send_frame(Frame(FRAME_COMPUTE_INPUT, bytes([CIRCUIT_CERT]) + self.bundle()))
         result = chan_f.recv_frame()
         if result.type == FRAME_ABORT:
             chan_s.send_frame(Frame(FRAME_ABORT, b""))
@@ -579,12 +588,8 @@ class LocalRun:
     recorders: dict | None = None
 
 
-def _factory_of(channel, used_flag: list) -> ChannelFactory:
-    def make():
-        used_flag.append(True)
-        return channel
-
-    return make
+def _factory_of(channel) -> ChannelFactory:
+    return lambda: channel
 
 
 def _run_thread(holder: dict, key: str, fn: Callable) -> threading.Thread:
@@ -619,14 +624,14 @@ def run_certification_local(
         results,
         "server",
         lambda: server.serve_certification(
-            rec["server_to_reg"], _factory_of(rec["server_to_dealer"], [])
+            rec["server_to_reg"], _factory_of(rec["server_to_dealer"])
         ),
     )
     t_reg = _run_thread(
         results,
         "regulator",
         lambda: regulator.certify(
-            _factory_of(rec["reg_to_server"], []), _factory_of(rec["reg_to_dealer"], [])
+            _factory_of(rec["reg_to_server"]), _factory_of(rec["reg_to_dealer"])
         ),
     )
     t_reg.join(timeout)
@@ -663,14 +668,14 @@ def run_inference_local(
         results,
         "server",
         lambda: server.serve_inference(
-            rec["server_to_client"], _factory_of(rec["server_to_dealer"], [])
+            rec["server_to_client"], _factory_of(rec["server_to_dealer"])
         ),
     )
     t_client = _run_thread(
         results,
         "client",
         lambda: client.infer(
-            _factory_of(rec["client_to_server"], []), _factory_of(rec["client_to_dealer"], [])
+            _factory_of(rec["client_to_server"]), _factory_of(rec["client_to_dealer"])
         ),
     )
     t_client.join(timeout)

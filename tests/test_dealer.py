@@ -10,6 +10,7 @@ from faircert.crypto import merkle_root
 from faircert.dealer import (
     ABORT_DIMENSION_MISMATCH,
     ABORT_EMPTY_CELL,
+    ABORT_GROUP_MISMATCH,
     ABORT_MALFORMED_MODEL,
     ABORT_SIZE_MISMATCH,
     CIRCUIT_CERT,
@@ -43,7 +44,9 @@ from faircert.fairness import (
     micro_fraction,
 )
 from faircert.model import (
+    BiasedModel,
     Dataset,
+    MalformedDatasetError,
     LinearModel,
     PlantedConfig,
     Sample,
@@ -119,6 +122,60 @@ def test_bundle_rejects_missing_mode_and_unknown_mode():
     broken[len(bundle) - len(bundle) + bundle.index(b"FDAT1") - 1] = 9
     with pytest.raises(MalformedDatasetError):
         decode_test_bundle(bytes(broken))
+
+
+@st.composite
+def bundles(draw):
+    aug = None
+    if draw(st.booleans()):
+        aug = AugmentorConfig(master_seed=draw(st.binary(min_size=8, max_size=8)))
+    spec = FairnessSpec(
+        metric=draw(st.sampled_from(list(FairnessMetric))),
+        epsilon=Fraction(1, 2),
+        delta=Fraction(1, 5),
+        alpha=Fraction(1, 4) if aug is not None else None,
+    )
+    dim = draw(st.integers(1, 3))
+    groups, labels = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    samples = draw(
+        st.lists(
+            st.builds(
+                Sample,
+                st.tuples(*[st.integers(fx.INT32_MIN, fx.INT32_MAX)] * dim),
+                st.integers(0, groups - 1),
+                st.integers(0, labels - 1),
+            ),
+            max_size=5,
+        )
+    )
+    return encode_test_bundle(spec, Dataset(dim, groups, labels, samples), aug)
+
+
+def _decodes_or_malformed(data):
+    try:
+        decode_test_bundle(data)
+    except MalformedDatasetError:
+        pass
+
+
+@given(st.binary(max_size=200))
+def test_bundle_decode_arbitrary_bytes(data):
+    _decodes_or_malformed(data)
+
+
+@given(bundles(), st.data())
+def test_bundle_decode_mutated_bytes(bundle, data):
+    mutated = bytearray(bundle)
+    for _ in range(data.draw(st.integers(1, 4))):
+        action = data.draw(st.sampled_from(("flip", "cut", "append")))
+        if action == "flip" and mutated:
+            i = data.draw(st.integers(0, len(mutated) - 1))
+            mutated[i] ^= data.draw(st.integers(1, 255))
+        elif action == "cut":
+            del mutated[data.draw(st.integers(0, len(mutated))) :]
+        else:
+            mutated += data.draw(st.binary(min_size=1, max_size=8))
+    _decodes_or_malformed(bytes(mutated))
 
 
 def test_query_round_trip():
@@ -323,6 +380,13 @@ def test_abort_dimension_mismatch():
     _, bundle, _, _ = planted_inputs()
     narrow = serialize_model(LinearModel(2, 2, ((1, 2), (3, 4)), (0, 0)))
     assert abort_reason_of(narrow, bundle) == ABORT_DIMENSION_MISMATCH
+
+
+def test_abort_wrapper_with_fewer_flip_rates_than_groups():
+    _, bundle, dataset, model = planted_inputs()
+    one_rate = BiasedModel(model.inner, (Fraction(1, 10),), model.seed)
+    assert dataset.num_groups == 2
+    assert abort_reason_of(serialize_model(one_rate), bundle) == ABORT_GROUP_MISMATCH
 
 
 def test_abort_empty_cell():

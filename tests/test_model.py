@@ -1,4 +1,5 @@
 import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from faircert import fixedpoint as fx
 from faircert.model import (
+    DATASET_MAGIC,
     BiasedModel,
     Dataset,
     DimensionMismatchError,
@@ -234,6 +236,73 @@ def test_dataset_decode_rejects_malformed():
         decode_dataset(data + b"\x00")
     with pytest.raises(MalformedDatasetError):
         decode_dataset(b"XXXXX" + data[5:])
+
+
+def _decodes_or_malformed(data):
+    try:
+        decode_dataset(data)
+    except MalformedDatasetError:
+        pass
+
+
+@given(st.binary(max_size=120))
+def test_dataset_decode_arbitrary_bytes(data):
+    _decodes_or_malformed(DATASET_MAGIC + data)
+    _decodes_or_malformed(data)
+
+
+@given(datasets(), st.data())
+def test_dataset_decode_mutated_bytes(dataset, data):
+    mutated = bytearray(encode_dataset(dataset))
+    for _ in range(data.draw(st.integers(1, 4))):
+        action = data.draw(st.sampled_from(("flip", "cut", "append", "count")))
+        if action == "flip" and mutated:
+            i = data.draw(st.integers(0, len(mutated) - 1))
+            mutated[i] ^= data.draw(st.integers(1, 255))
+        elif action == "cut":
+            del mutated[data.draw(st.integers(0, len(mutated))) :]
+        elif action == "append":
+            mutated += data.draw(st.binary(min_size=1, max_size=8))
+        elif len(mutated) >= 21:
+            mutated[17:21] = data.draw(st.integers(0, 2**32 - 1)).to_bytes(4, "little")
+    _decodes_or_malformed(bytes(mutated))
+
+
+def test_dataset_decode_checks_count_before_parsing():
+    # A header that declares 2**32 - 1 records of 2**32 - 1 features each
+    # over an empty payload is refused from the header alone.
+    header = DATASET_MAGIC + struct.pack("<IIII", 2**32 - 1, 1, 1, 2**32 - 1)
+    with pytest.raises(MalformedDatasetError, match="truncated"):
+        decode_dataset(header)
+    one = encode_dataset(Dataset(2, 1, 1, (Sample((5, 6), 0, 0),)))
+    with pytest.raises(MalformedDatasetError, match="truncated"):
+        decode_dataset(one[:17] + struct.pack("<I", 2) + one[21:])
+    with pytest.raises(MalformedDatasetError, match="trailing"):
+        decode_dataset(one[:17] + struct.pack("<I", 0) + one[21:])
+
+
+def test_dataset_decode_checks_group_and_label_ranges():
+    good = encode_dataset(Dataset(1, 2, 3, (Sample((7,), 1, 2), Sample((8,), 0, 0))))
+    record = len(good) - 8  # offset of the second record
+    for field, value in ((0, 2), (2, 3)):
+        bad = bytearray(good)
+        bad[record + field : record + field + 2] = struct.pack("<H", value)
+        with pytest.raises(MalformedDatasetError, match="outside"):
+            decode_dataset(bytes(bad))
+
+
+def test_dataset_columns_and_samples_agree():
+    samples = (Sample((1, 2), 1, 0), Sample((3, 4), 0, 1))
+    built = Dataset(2, 2, 2, samples)
+    assert built.features == ((1, 2), (3, 4))
+    assert built.groups == (1, 0)
+    assert built.labels == (0, 1)
+    from_columns = Dataset.from_columns(2, 2, 2, built.features, built.groups, built.labels)
+    assert from_columns == built
+    assert from_columns.samples == samples
+    assert hash(from_columns) == hash(built)
+    with pytest.raises(ValueError):
+        Dataset.from_columns(2, 2, 2, built.features, built.groups, (0,))
 
 
 def test_dataset_validation():

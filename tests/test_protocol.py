@@ -1,3 +1,4 @@
+import socket
 import struct
 from fractions import Fraction
 
@@ -24,11 +25,13 @@ from faircert.crypto import (
 )
 from faircert.dealer import CIRCUIT_CERT, encode_query
 from faircert.fairness import FairnessMetric, FairnessSpec
-from faircert.model import LinearModel, Sample, predict, serialize_model
+from faircert import dealer, protocol
+from faircert.model import BiasedModel, LinearModel, Sample, predict, serialize_model
 from faircert.protocol import (
     FRAME_ABORT,
     FRAME_COMPUTE_INPUT,
     FRAME_HELLO,
+    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     REASON_FSC_ABORT,
     REASON_NOT_FAIR,
@@ -46,6 +49,7 @@ from faircert.protocol import (
     Regulator,
     Reject,
     Server,
+    SocketChannel,
     channel_pair,
     decode_cert_request,
     decode_frame,
@@ -78,6 +82,28 @@ def test_frame_rejects_malformed():
     good = Frame(FRAME_HELLO, b"abc").encode()
     with pytest.raises(ProtocolError):
         decode_frame(good + b"\x00")  # length field now wrong
+
+
+def test_oversized_frame_refused_alike_on_both_transports():
+    # 16 MiB + 10 bytes on the wire: a length field of MAX_FRAME_BYTES + 6.
+    big = Frame(FRAME_HELLO, bytes(MAX_FRAME_BYTES + 5))
+    small = Frame(FRAME_HELLO, b"after")
+    queue_a, queue_b = channel_pair(timeout=1.0)
+    sock_a, sock_b = socket.socketpair()
+    socket_a, socket_b = SocketChannel(sock_a, 1.0), SocketChannel(sock_b, 1.0)
+    try:
+        messages = []
+        for sender, receiver in ((queue_a, queue_b), (socket_a, socket_b)):
+            with pytest.raises(ProtocolError) as refused:
+                sender.send_frame(big)
+            messages.append(str(refused.value))
+            sender.send_frame(small)  # nothing of the refused frame went out
+            assert receiver.recv_frame() == small
+        expected = f"frame length {MAX_FRAME_BYTES + 6} exceeds {MAX_FRAME_BYTES}"
+        assert messages == [expected, expected]
+    finally:
+        socket_a.close()
+        socket_b.close()
 
 
 def test_parse_endpoint():
@@ -245,6 +271,41 @@ def test_dimension_mismatch_aborts_via_dealer():
     assert run.session.abort_reason == "DIMENSION_MISMATCH"
 
 
+def test_wrapper_with_too_few_flip_rates_aborts_both_parties():
+    regulator, _, _, model = certification_setup()
+    one_rate = Server(BiasedModel(model.inner, (Fraction(1, 10),), model.seed))
+    run = run_certification_local(regulator, one_rate)
+    assert run.regulator_result == CertFailure(REASON_FSC_ABORT)
+    assert run.server_result == CertFailure(REASON_FSC_ABORT)
+    assert run.session.abort_reason == "GROUP_MISMATCH"
+    results = run_certification_tcp(regulator, one_rate)
+    assert results["regulator"] == results["server"] == CertFailure(REASON_FSC_ABORT)
+    assert results["session"].abort_reason == "GROUP_MISMATCH"
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_bundle_encoded_once_and_parsed_once_per_session(monkeypatch):
+    encodes = _count_calls(monkeypatch, protocol, "encode_test_bundle")
+    decodes = _count_calls(monkeypatch, dealer, "decode_test_bundle")
+    parses = _count_calls(monkeypatch, dealer, "deserialize_model")
+    regulator, server, _, _ = certification_setup()
+    for _ in range(2):
+        run = run_certification_local(regulator, server)
+        assert isinstance(run.regulator_result, Certificate)
+    assert (len(encodes), len(decodes), len(parses)) == (1, 2, 2)
+
+
 def test_augmented_commit_reveal():
     aug = AugmentorConfig(
         master_seed=b"\x77" * 8,
@@ -407,6 +468,14 @@ def test_query_never_reaches_the_server():
         + run.recorders["client_to_dealer"].received
     )
     assert server.model_bytes not in client_saw
+
+
+def test_inference_parses_the_model_once(monkeypatch):
+    parses = _count_calls(monkeypatch, dealer, "deserialize_model")
+    server, _, pair = linear_server()
+    client = Client((0, fx.ONE, 0), pair.verification_key, CHEAP_SPEC)
+    assert isinstance(run_inference_local(client, server).client_result, AcceptedPrediction)
+    assert len(parses) == 1
 
 
 def test_inference_aborts_propagate():
