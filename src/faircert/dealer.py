@@ -125,7 +125,7 @@ def decode_test_bundle(
         offset += 24
     elif mode != MODE_PRIVATE_BYTE:
         raise MalformedDatasetError(f"unknown bundle mode {mode}")
-    return spec, decode_dataset(data[offset:]), aug
+    return spec, decode_dataset(memoryview(data)[offset:]), aug
 
 
 # Division-free fairness decision. This is the circuit's route; the host

@@ -190,8 +190,8 @@ def encode_dataset(dataset: Dataset) -> bytes:
     )
 
 
-def decode_dataset(data: bytes) -> Dataset:
-    if not data.startswith(DATASET_MAGIC):
+def decode_dataset(data: bytes | memoryview) -> Dataset:
+    if data[: len(DATASET_MAGIC)] != DATASET_MAGIC:
         raise MalformedDatasetError("bad dataset magic")
     offset = len(DATASET_MAGIC) + _DATASET_HEADER.size
     if len(data) < offset:
@@ -386,8 +386,9 @@ def _biased_kernel(model: BiasedModel) -> Kernel:
     sha3, from_bytes = hashlib.sha3_256, int.from_bytes
 
     def run(rows: Rows, groups: Sequence[int]) -> list[int]:
-        if groups and (min(groups) < 0 or max(groups) >= len(limits)):
-            bad = min(groups) if min(groups) < 0 else max(groups)
+        low, high = (min(groups), max(groups)) if groups else (0, 0)
+        if low < 0 or high >= len(limits):
+            bad = low if low < 0 else high
             raise IdOutOfRangeError(f"group {bad} has no flip rate (got {len(limits)})")
         return [
             following[y]
@@ -399,19 +400,13 @@ def _biased_kernel(model: BiasedModel) -> Kernel:
     return run
 
 
-def _kernel_of(model: ModelSpec) -> Kernel:
-    if not isinstance(model, (LinearModel, LookupModel, BiasedModel)):
-        raise TypeError(f"unknown model type {type(model)!r}")
-    return model._kernel
-
-
 def predict_batch(model: ModelSpec, dataset: Dataset) -> list[int]:
     """Labels for every sample of a dataset, in order."""
     if dataset.dimension != model.dimension:
         raise DimensionMismatchError(
             f"dataset has {dataset.dimension} features, model wants {model.dimension}"
         )
-    return _kernel_of(model)(dataset.features, dataset.groups)
+    return model._kernel(dataset.features, dataset.groups)
 
 
 def predict(model: ModelSpec, sample: Sample) -> int:
@@ -423,7 +418,7 @@ def predict(model: ModelSpec, sample: Sample) -> int:
         )
     if min(sample.features) < fx.INT32_MIN or max(sample.features) > fx.INT32_MAX:
         raise ValueError("feature outside the signed 32-bit range")
-    return _kernel_of(model)((sample.features,), (sample.group,))[0]
+    return model._kernel((sample.features,), (sample.group,))[0]
 
 
 def _header(arch: int, dimension: int, num_labels: int) -> bytes:

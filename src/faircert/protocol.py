@@ -559,6 +559,7 @@ def serve_dealer(channel_a, channel_b) -> FscSession:
             raise ProtocolError("expected a compute input frame")
         circuit_ids[party] = frame.payload[0]
         session.input(party, frame.payload[1:])
+    del frame  # the session holds its own copy of each input
     for party in (PARTY_SERVER, PARTY_CHECKER):
         session.compute(party, circuit_ids[party])
         if session.state == STATE_ABORTED:
