@@ -115,6 +115,19 @@ def augment(config: AugmentorConfig, sample: Sample, index: int) -> Sample:
 
 
 def augment_dataset(config: AugmentorConfig, dataset: Dataset) -> Dataset:
-    """Apply augment() positionally; index i transforms sample i."""
-    out = tuple(augment(config, s, i) for i, s in enumerate(dataset.samples))
-    return Dataset(dataset.dimension, dataset.num_groups, dataset.num_labels, out)
+    """Apply augment() positionally; index i transforms sample i. Works on
+    the columns: no Sample outlives its own augmentation."""
+    rows = [
+        augment(config, Sample(row, g, y), i).features
+        for i, (row, g, y) in enumerate(zip(dataset.features, dataset.groups, dataset.labels))
+    ]
+    # augment() saturates every coordinate and keeps the dimension.
+    return Dataset.from_columns(
+        dataset.dimension,
+        dataset.num_groups,
+        dataset.num_labels,
+        rows,
+        dataset.groups,
+        dataset.labels,
+        checked_features=True,
+    )
