@@ -71,6 +71,7 @@ ABORT_MALFORMED_MODEL = "MALFORMED_MODEL"
 ABORT_EMPTY_CELL = "EMPTY_CELL"
 ABORT_DIMENSION_MISMATCH = "DIMENSION_MISMATCH"
 ABORT_GROUP_MISMATCH = "GROUP_MISMATCH"
+ABORT_LABEL_MISMATCH = "LABEL_MISMATCH"
 
 MODE_PRIVATE_BYTE = 0
 MODE_AUGMENTED_BYTE = 1
@@ -211,6 +212,8 @@ def _cert_suitability(model_bytes: bytes, bundle_bytes: bytes) -> _CertInputs:
         raise SessionAbort(ABORT_DIMENSION_MISMATCH)
     if isinstance(model, BiasedModel) and len(model.flip_rates) < dataset.num_groups:
         raise SessionAbort(ABORT_GROUP_MISMATCH)
+    if model.num_labels > dataset.num_labels:
+        raise SessionAbort(ABORT_LABEL_MISMATCH)
     return _CertInputs(model, spec, dataset, aug)
 
 

@@ -11,6 +11,7 @@ from faircert.dealer import (
     ABORT_DIMENSION_MISMATCH,
     ABORT_EMPTY_CELL,
     ABORT_GROUP_MISMATCH,
+    ABORT_LABEL_MISMATCH,
     ABORT_MALFORMED_MODEL,
     ABORT_SIZE_MISMATCH,
     CIRCUIT_CERT,
@@ -387,6 +388,13 @@ def test_abort_wrapper_with_fewer_flip_rates_than_groups():
     one_rate = BiasedModel(model.inner, (Fraction(1, 10),), model.seed)
     assert dataset.num_groups == 2
     assert abort_reason_of(serialize_model(one_rate), bundle) == ABORT_GROUP_MISMATCH
+
+
+def test_abort_model_with_more_labels_than_the_bundle():
+    _, bundle, dataset, _ = planted_inputs()
+    assert dataset.num_labels == 2
+    three = LinearModel(dataset.dimension, 3, ((0,) * dataset.dimension,) * 3, (0, 0, 1))
+    assert abort_reason_of(serialize_model(three), bundle) == ABORT_LABEL_MISMATCH
 
 
 def test_abort_empty_cell():

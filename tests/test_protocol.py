@@ -283,6 +283,19 @@ def test_wrapper_with_too_few_flip_rates_aborts_both_parties():
     assert results["session"].abort_reason == "GROUP_MISMATCH"
 
 
+def test_model_with_more_labels_than_the_bundle_aborts_both_parties():
+    regulator, _, _, model = certification_setup()
+    dim = model.dimension
+    three_labels = Server(LinearModel(dim, 3, ((0,) * dim,) * 3, (0, 0, 1)))
+    run = run_certification_local(regulator, three_labels)
+    assert run.regulator_result == CertFailure(REASON_FSC_ABORT)
+    assert run.server_result == CertFailure(REASON_FSC_ABORT)
+    assert run.session.abort_reason == "LABEL_MISMATCH"
+    results = run_certification_tcp(regulator, three_labels)
+    assert results["regulator"] == results["server"] == CertFailure(REASON_FSC_ABORT)
+    assert results["session"].abort_reason == "LABEL_MISMATCH"
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
