@@ -129,5 +129,4 @@ def augment_dataset(config: AugmentorConfig, dataset: Dataset) -> Dataset:
         rows,
         dataset.groups,
         dataset.labels,
-        checked_features=True,
     )

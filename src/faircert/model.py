@@ -17,9 +17,9 @@ import json
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter, mul, rshift
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from . import fixedpoint as fx
 from .fairness import micro_fraction, to_micro
@@ -84,15 +84,22 @@ class Dataset:
         self, dimension: int, num_groups: int, num_labels: int, samples: Iterable[Sample]
     ) -> None:
         samples = tuple(samples)
+        features = tuple(s.features for s in samples)
         self._set_columns(
             dimension,
             num_groups,
             num_labels,
-            tuple(s.features for s in samples),
+            features,
             tuple(s.group for s in samples),
             tuple(s.label for s in samples),
-            checked_features=False,
         )
+        bad = next((row for row in features if len(row) != dimension), None)
+        if bad is not None:
+            raise DimensionMismatchError(f"sample has {len(bad)} features, expected {dimension}")
+        if features and (
+            min(map(min, features)) < fx.INT32_MIN or max(map(max, features)) > fx.INT32_MAX
+        ):
+            raise ValueError("feature outside the signed 32-bit range")
         self.__dict__["samples"] = samples
 
     @classmethod
@@ -104,28 +111,17 @@ class Dataset:
         features: Iterable[tuple[int, ...]],
         groups: Iterable[int],
         labels: Iterable[int],
-        *,
-        checked_features: bool = False,
     ) -> "Dataset":
-        """Build from columns. checked_features=True skips the per-row length
-        and int32 range checks, for rows already known to hold `dimension`
-        int32 values (decoded from the wire, or taken from another Dataset).
-        Group and label ranges are always checked."""
+        """Build from columns whose rows each hold `dimension` int32 values
+        (decoded from the wire, taken from another Dataset, or generated);
+        the rows are not checked. Group and label ranges are checked."""
         dataset = cls.__new__(cls)
         dataset._set_columns(
-            dimension,
-            num_groups,
-            num_labels,
-            tuple(features),
-            tuple(groups),
-            tuple(labels),
-            checked_features=checked_features,
+            dimension, num_groups, num_labels, tuple(features), tuple(groups), tuple(labels)
         )
         return dataset
 
-    def _set_columns(
-        self, dimension, num_groups, num_labels, features, groups, labels, *, checked_features
-    ) -> None:
+    def _set_columns(self, dimension, num_groups, num_labels, features, groups, labels) -> None:
         for name, value in (
             ("dimension", dimension),
             ("num_groups", num_groups),
@@ -141,20 +137,10 @@ class Dataset:
             raise ValueError("feature, group and label columns differ in length")
         if not features:
             return
-        if not checked_features:
-            bad = next((row for row in features if len(row) != dimension), None)
-            if bad is not None:
-                raise DimensionMismatchError(
-                    f"sample has {len(bad)} features, expected {dimension}"
-                )
         for name, column, bound in (("group", groups, num_groups), ("label", labels, num_labels)):
             low, high = min(column), max(column)
             if low < 0 or high >= bound:
                 raise IdOutOfRangeError(f"{name} {low if low < 0 else high} outside [0, {bound})")
-        if not checked_features and (
-            min(map(min, features)) < fx.INT32_MIN or max(map(max, features)) > fx.INT32_MAX
-        ):
-            raise ValueError("feature outside the signed 32-bit range")
 
     @functools.cached_property
     def samples(self) -> tuple[Sample, ...]:
@@ -171,7 +157,6 @@ def canonical_order(dataset: Dataset) -> Dataset:
         [dataset.features[i] for i in order],
         [dataset.groups[i] for i in order],
         [dataset.labels[i] for i in order],
-        checked_features=True,
     )
 
 
@@ -218,7 +203,6 @@ def decode_dataset(data: bytes | memoryview) -> Dataset:
             features,
             [g for g, _ in ids],
             [y for _, y in ids],
-            checked_features=True,
         )
     except ValueError as exc:
         raise MalformedDatasetError(str(exc)) from exc
@@ -318,53 +302,70 @@ Rows = Sequence[tuple[int, ...]]
 Kernel = Callable[[Rows, Sequence[int]], list[int]]
 
 
-def _row_scores(weights: tuple[int, ...], bias: int) -> Callable[[Rows], list[int]]:
-    """fx.dot(weights, row, bias) for every row, with the same result.
+def _span(rows: Rows) -> tuple[int, int]:
+    """The least interval holding 0 and every feature of the rows."""
+    if not rows:
+        return 0, 0
+    return min(0, min(chain.from_iterable(rows))), max(0, max(chain.from_iterable(rows)))
+
+
+def _row_scores(
+    weights: tuple[int, ...], bias: int
+) -> Callable[[Rows, Callable[[], tuple[int, int]]], Iterator[int]]:
+    """fx.dot(weights, row, bias) for every row, in order and with the same
+    results, computed as they are read.
 
     Zero weights are skipped: mul(0, x) is 0, and adding 0 to an
     accumulator that already lies in int32 leaves it unchanged.
 
-    Over int32 features, a term (w * x) >> 16 lies between its values at
-    x = INT32_MIN and x = INT32_MAX, one end at most 0 and the other at
-    least 0. If every term's range lies inside int32, and so do the bias
+    Over features in [lo, hi] with lo <= 0 <= hi, a term (w * x) >> 16 lies
+    between its values at x = lo and x = hi, one end at most 0 and the other
+    at least 0. If every term's range lies inside int32, and so do the bias
     plus the sum of the lower ends and the bias plus the sum of the upper
     ends, then no product and no prefix sum can saturate, and fx.dot is the
-    plain bias + sum((w * x) >> 16). A row failing this check, made once
-    from its weights, keeps the step-by-step saturating fx.dot.
+    plain bias + sum((w * x) >> 16). The check is made once from the weights
+    over all of int32 and, if that fails, once per batch over the span of
+    the batch's features (the second argument, called only then). A batch
+    failing both keeps the step-by-step saturating fx.dot.
     """
     b = fx.saturate(bias)
     index = tuple(compress(range(len(weights)), weights))
     ws = tuple(filter(None, weights))
-    ends = [
-        sorted((w * fx.INT32_MIN >> fx.FRACTION_BITS, w * fx.INT32_MAX >> fx.FRACTION_BITS))
-        for w in ws
-    ]
-    low, high = sum(lo for lo, _ in ends), sum(hi for _, hi in ends)
-    in_range = all(fx.INT32_MIN <= lo and hi <= fx.INT32_MAX for lo, hi in ends)
-    if not (in_range and fx.INT32_MIN <= b + low and b + high <= fx.INT32_MAX):
-        return lambda rows: [fx.dot(ws, [row[j] for j in index], b) for row in rows]
+
+    def exact(lo: int, hi: int) -> bool:
+        ends = [sorted((w * lo >> fx.FRACTION_BITS, w * hi >> fx.FRACTION_BITS)) for w in ws]
+        low, high = sum(lo for lo, _ in ends), sum(hi for _, hi in ends)
+        in_range = all(fx.INT32_MIN <= lo and hi <= fx.INT32_MAX for lo, hi in ends)
+        return in_range and fx.INT32_MIN <= b + low and b + high <= fx.INT32_MAX
+
     if not ws:
-        return lambda rows: [b] * len(rows)
-    if len(ws) == 1:
+        plain = lambda rows: repeat(b, len(rows))
+    elif len(ws) == 1:
         ((j, w),) = zip(index, ws)
-        return lambda rows: [b + (w * row[j] >> fx.FRACTION_BITS) for row in rows]
-    pick = itemgetter(*index)
-    shift = repeat(fx.FRACTION_BITS)
-    return lambda rows: [b + sum(map(rshift, map(mul, ws, pick(row)), shift)) for row in rows]
+        plain = lambda rows: (b + (w * row[j] >> fx.FRACTION_BITS) for row in rows)
+    else:
+        pick = itemgetter(*index)
+        shift = repeat(fx.FRACTION_BITS)
+        plain = lambda rows: (b + sum(map(rshift, map(mul, ws, pick(row)), shift)) for row in rows)
+    if exact(fx.INT32_MIN, fx.INT32_MAX):
+        return lambda rows, span: plain(rows)
+
+    def scores(rows: Rows, span: Callable[[], tuple[int, int]]) -> Iterator[int]:
+        if exact(*span()):
+            return plain(rows)
+        return (fx.dot(weights, row, b) for row in rows)
+
+    return scores
 
 
 def _linear_kernel(model: LinearModel) -> Kernel:
     scorers = [_row_scores(w, b) for w, b in zip(model.weights, model.biases)]
 
     def run(rows: Rows, groups: Sequence[int]) -> list[int]:
-        best = scorers[0](rows)
-        labels = [0] * len(rows)
-        for y in range(1, len(scorers)):
-            scores = scorers[y](rows)
-            # Strictly greater: the lowest label wins ties.
-            labels = [y if s > t else k for s, t, k in zip(scores, best, labels)]
-            best = list(map(max, best, scores))
-        return labels
+        span = functools.cache(lambda: _span(rows))
+        # Each row's scores arrive together; index(max) picks the first
+        # highest, so the lowest label wins ties.
+        return [s.index(max(s)) for s in zip(*(score(rows, span) for score in scorers))]
 
     return run
 

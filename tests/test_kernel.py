@@ -3,8 +3,9 @@
 The reference scores every label with fixedpoint.dot over all weights,
 zeros included, and draws flips with prg.hash_u64, exactly as the model
 definitions read. The kernel skips zero weights, drops saturation on rows
-whose weights prove it cannot fire, and hashes inline; it must agree on
-every input, at every dimension from 1 to 784.
+whose weights prove it cannot fire (over int32, or over the batch's feature
+span), and hashes inline; it must agree on every input, at every dimension
+from 1 to 784.
 """
 
 import struct
@@ -71,6 +72,9 @@ def cases(draw):
     groups = draw(st.integers(1, 3))
     sparsity = draw(st.sampled_from((0.0, 0.5, 0.9, 1.0)))
     near_limits = draw(st.booleans())
+    # Small features let rows whose weights alone cannot rule out saturation
+    # take the plain path through the batch's feature span.
+    large_features = draw(st.booleans())
 
     def weight():
         return 0 if rnd.random() < sparsity else _value(rnd, near_limits)
@@ -95,7 +99,7 @@ def cases(draw):
     count = draw(st.integers(1, 12))
     samples = tuple(
         Sample(
-            tuple(_value(rnd, True) for _ in range(dim)),
+            tuple(_value(rnd, large_features) for _ in range(dim)),
             rnd.randrange(groups),
             rnd.randrange(labels),
         )
@@ -123,6 +127,21 @@ def test_unsaturated_rows_at_the_int32_edges():
             dataset = Dataset(1, 1, 2, tuple(Sample(x, 0, 0) for x in edges))
             expected = [reference_predict(model, x, 0) for x in edges]
             assert predict_batch(model, dataset) == expected, (weight, bias)
+
+
+def test_feature_span_decides_the_plain_path():
+    # Weights near 2**31 can saturate over int32 features, but not over
+    # features in [-ONE, ONE]; one large feature in the batch brings the
+    # saturating loop back for the whole batch.
+    big = fx.INT32_MAX >> 2
+    model = LinearModel(3, 2, ((big, -big, big), (2 * big, 0, 0)), (ONE, -ONE))
+    small = tuple(Sample((a, b, -a), 0, 0) for a in (-ONE, 0, 5, ONE) for b in (-ONE, 7, ONE))
+    # Both labels saturate at INT32_MAX on the large row and label 0 wins;
+    # unsaturated, label 1 would score higher.
+    large = Sample((fx.INT32_MAX, 0, 0), 0, 0)
+    for rows in (small, small + (large,)):
+        expected = [reference_predict(model, s.features, 0) for s in rows]
+        assert predict_batch(model, Dataset(3, 1, 2, rows)) == expected
 
 
 def test_zero_rate_group_is_never_flipped():
