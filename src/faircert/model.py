@@ -334,8 +334,8 @@ def _row_scores(
 
     def exact(lo: int, hi: int) -> bool:
         ends = [sorted((w * lo >> fx.FRACTION_BITS, w * hi >> fx.FRACTION_BITS)) for w in ws]
-        low, high = sum(lo for lo, _ in ends), sum(hi for _, hi in ends)
-        in_range = all(fx.INT32_MIN <= lo and hi <= fx.INT32_MAX for lo, hi in ends)
+        low, high = sum(end[0] for end in ends), sum(end[1] for end in ends)
+        in_range = all(fx.INT32_MIN <= down and up <= fx.INT32_MAX for down, up in ends)
         return in_range and fx.INT32_MIN <= b + low and b + high <= fx.INT32_MAX
 
     if not ws:
