@@ -12,7 +12,7 @@ from fractions import Fraction
 from conftest import certification_setup
 
 from faircert import fixedpoint as fx
-from faircert.augmentor import AugmentorConfig
+from faircert.augmentor import AugmentorConfig, augment_dataset
 from faircert.crypto import Certificate
 from faircert.dealer import encode_test_bundle
 from faircert.experiments import run_coverage, write_coverage_csv
@@ -24,9 +24,11 @@ from faircert.model import (
     LookupModel,
     PlantedConfig,
     Sample,
+    encode_dataset,
     generate_planted,
     predict,
 )
+from faircert.prg import CounterPrg
 from faircert.protocol import run_certification_local
 
 AUG = AugmentorConfig(
@@ -155,3 +157,98 @@ def test_coverage_csv():
     out = io.StringIO()
     write_coverage_csv(out, results)
     assert sha3(out.getvalue().encode()) == "bff89a5d93893de747346acf62f87c7852db9e6e1c82ab8bbfe008800f77fd6f"
+
+
+# Augmented dataset bytes. Each case is (dimension, sigma, mask, invoke,
+# degree): odd and even dimensions, a sigma large enough to saturate every
+# noisy coordinate, masking off and certain, invocation never and always.
+AUGMENT_CASES = {
+    (3, fx.ONE // 100, "1/10", "1/2", "1"): "b329985c37837f3f964b11f6454af81cdfc8cf440e7cac839955176c305452c1",
+    (4, fx.INT32_MAX, "0", "1", "1"): "c7fc7ae8e911787f60e3261812621e1a1d44d06ff789a22f71a7c8d4510dc1ab",
+    (5, fx.INT32_MAX // 3, "1", "1", "1"): "70a788476cd8e3e7614e24975082495160f8e697becee8fec948c18c1bd1ccdd",
+    (2, fx.ONE, "3/10", "0", "1"): "ca5247e6ff8585d38b4a3869a75a0bfb5512943658fe1a9c12260c1c2544490e",
+    (1, 3 * fx.ONE, "1/2", "1", "1/2"): "c84ad237a1d06a5000279c30dc698d995ca5caaf283967dfa077b6e18fbebe11",
+    (6, 2 * fx.ONE, "1", "3/4", "1"): "fb55be3a3324a5e683e7e2df9ef8ba078dc788babbb4dc6c9ab0ff85c2faad91",
+    (7, 0, "1/4", "1", "1"): "0f7f2ef526b2c255ffe988060b400c5db311d0a83d9fcc2f645390be4d181a38",
+}
+
+
+def _augmented_bytes(dimension, sigma, mask, invoke, degree) -> bytes:
+    config = PlantedConfig(
+        cell_weights=((Fraction(1, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 4))),
+        error_rates=(Fraction(0), Fraction(0)),
+        seed=bytes([dimension]) * 8,
+        noise_dims=dimension - 2 if dimension > 2 else 0,
+    )
+    dataset = generate_planted(config, 0, group_counts=(60, 60))[0]
+    if dimension < 2:
+        dataset = Dataset.from_columns(
+            1, 2, 2, [row[:1] for row in dataset.features], dataset.groups, dataset.labels
+        )
+    aug = AugmentorConfig(
+        master_seed=bytes([0x40 + dimension]) * 8,
+        noise_sigma=sigma,
+        mask_prob=Fraction(mask),
+        invoke_prob=Fraction(invoke),
+        degree=Fraction(degree),
+    )
+    return encode_dataset(augment_dataset(aug, dataset))
+
+
+def test_augmented_dataset_bytes():
+    digests = {case: sha3(_augmented_bytes(*case)) for case in AUGMENT_CASES}
+    assert digests == AUGMENT_CASES
+
+
+# Planted datasets from the i.i.d. path (m) and the fixed-count path, with no
+# noise coordinates and with 774, the noise width of the benchmark's
+# 784-feature inference model. A zero-weight cell sits between two others.
+PLANTED_CASES = {
+    ("m", 0): "07fa806f5fe98e8284bb3bab5f373313a21c9ae4f6ce234d92ed9569242e3e93",
+    ("m", 774): "ae2d81f6dac9c66b67ea5436bfa3fab09264d8b4f2725d72550928251b575aa9",
+    ("counts", 0): "d85b2b22404f98da7d364c67ddd1982905e034b81f05244949c80d2c3bc0c866",
+    ("counts", 774): "6d7af9570913390e5e391abd0df0571b55b8dd8e680d109f9ee9b445e812f9a3",
+}
+
+
+def _planted_bytes(path: str, noise_dims: int) -> bytes:
+    config = PlantedConfig(
+        cell_weights=(
+            (Fraction(1, 10), Fraction(0), Fraction(3, 20)),
+            (Fraction(1, 4), Fraction(1, 5), Fraction(3, 10)),
+        ),
+        error_rates=(Fraction(1, 8), Fraction(2, 5)),
+        seed=bytes([noise_dims % 256]) * 8,
+        noise_dims=noise_dims,
+    )
+    if path == "m":
+        dataset = generate_planted(config, 90)[0]
+    else:
+        dataset = generate_planted(config, 0, group_counts=(37, 53))[0]
+    return encode_dataset(dataset)
+
+
+def test_planted_dataset_bytes():
+    digests = {case: sha3(_planted_bytes(*case)) for case in PLANTED_CASES}
+    assert digests == PLANTED_CASES
+
+
+def test_counter_prg_draws():
+    prg = CounterPrg(b"\x5a" * 8)
+    words = [prg.u64() for _ in range(1000)]
+    assert sha3(struct.pack("<1000Q", *words)) == "f2f19ec2034ab8f8011dcb4a4d1afeee2d6820624cad92be62fc53f14925bba1"
+    cumulative = [(Fraction(1, 5), 0), (Fraction(1, 5), 1), (Fraction(2, 3), 2), (Fraction(1), 3)]
+    mixed = []
+    for i in range(300):
+        kind = i % 5
+        if kind == 0:
+            mixed.append(int(prg.below(Fraction(i + 1, 301))))
+        elif kind == 1:
+            mixed.append(prg.int_below(1 + 7 * i))
+        elif kind == 2:
+            mixed.append(prg.choose_weighted(cumulative))
+        elif kind == 3:
+            mixed.append(prg.gauss().hex())
+        else:
+            mixed.append(int(prg.below(Fraction(0))))
+    assert sha3(repr(mixed).encode()) == "3e806ea344361fbd10c759fd35009e5f4cf1f2e6f22e8912c28b13d5fb729359"
