@@ -17,11 +17,18 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from math import cos, log, pi, sin, sqrt
+from typing import Sequence
 
 from . import fixedpoint as fx
+from . import prg
 from .fairness import micro_fraction, to_micro
 from .model import Dataset, Sample
-from .prg import CounterPrg
+from .prg import threshold
+
+_U64 = 1 << 64
+_TWO_PI = 2.0 * pi
+_INDEX = struct.Struct("<Q")
 
 SEED_BYTES = 8
 CONFIG_BYTES = 16  # without the seed
@@ -94,39 +101,73 @@ class AugmentorConfig:
         return cls.decode_public(data[SEED_BYTES:], data[:SEED_BYTES])
 
 
+def _augment_rows(
+    config: AugmentorConfig, rows: Sequence[tuple[int, ...]], first: int
+) -> list[tuple[int, ...]]:
+    """The augmented feature rows; row i is transformed with sample index
+    first + i. A row left alone is passed through as the same tuple.
+
+    Sample i reads the stream keyed by master_seed || u64le(i) (prg module):
+    the noise and mask invocation draws, then, when noise applies, two
+    draws per pair of coordinates (Box-Muller: cos for the first, sin for
+    the second; an odd dimension leaves the last sin unused), then, when
+    masking applies, one draw per coordinate. Block 0 is hashed first, and
+    only the blocks those draws reach after it.
+    """
+    invoke = threshold(config.effective_invoke_prob)
+    sigma = config.noise_sigma
+    mask = threshold(config.mask_prob)
+    seed, pack, saturate = config.master_seed, _INDEX.pack, fx.saturate
+    out = []
+    for index, row in enumerate(rows, first):
+        key = seed + pack(index)
+        words = prg.stream_words(key, 0, 1)
+        noisy = sigma > 0 and words[0] < invoke
+        masked = mask > 0 and words[1] < invoke
+        if not (noisy or masked):
+            out.append(row)
+            continue
+        d = len(row)
+        used = 2 + (d + d % 2 if noisy else 0) + (d if masked else 0)
+        if used > prg.WORDS_PER_BLOCK:
+            words += prg.stream_words(key, 1, (used - 1) // prg.WORDS_PER_BLOCK)
+        features = list(row)
+        at = 2
+        if noisy:
+            for i in range(0, d, 2):
+                # As in CounterPrg.gauss, and in the same order (r * cos,
+                # then * sigma): the bytes depend on the float rounding.
+                r = sqrt(-2.0 * log((words[at] + 1) / _U64))  # (0, 1]: log stays finite
+                angle = _TWO_PI * (words[at + 1] / _U64)
+                at += 2
+                features[i] = saturate(features[i] + round(r * cos(angle) * sigma))
+                if i + 1 < d:
+                    features[i + 1] = saturate(features[i + 1] + round(r * sin(angle) * sigma))
+        if masked:
+            for i, u in enumerate(words[at : at + d]):
+                if u < mask:
+                    features[i] = 0
+        out.append(tuple(features))
+    return out
+
+
 def augment(config: AugmentorConfig, sample: Sample, index: int) -> Sample:
     """Transform one sample; deterministic in (config, sample, index)."""
     if index < 0:
         raise ValueError("index must be nonnegative")
-    stream = CounterPrg(config.master_seed + struct.pack("<Q", index))
-    invoke = config.effective_invoke_prob
-    apply_noise = stream.below(invoke)
-    apply_mask = stream.below(invoke)
-    features = list(sample.features)
-    if apply_noise and config.noise_sigma > 0:
-        for i, value in enumerate(features):
-            offset = int(round(stream.gauss() * config.noise_sigma))
-            features[i] = fx.saturate(value + offset)
-    if apply_mask and config.mask_prob > 0:
-        for i in range(len(features)):
-            if stream.below(config.mask_prob):
-                features[i] = 0
-    return Sample(features=tuple(features), group=sample.group, label=sample.label)
+    (features,) = _augment_rows(config, (sample.features,), index)
+    return Sample(features=features, group=sample.group, label=sample.label)
 
 
 def augment_dataset(config: AugmentorConfig, dataset: Dataset) -> Dataset:
-    """Apply augment() positionally; index i transforms sample i. Works on
-    the columns: no Sample outlives its own augmentation."""
-    rows = [
-        augment(config, Sample(row, g, y), i).features
-        for i, (row, g, y) in enumerate(zip(dataset.features, dataset.groups, dataset.labels))
-    ]
-    # augment() saturates every coordinate and keeps the dimension.
+    """Apply augment() positionally; index i transforms sample i, on the
+    columns: no Sample is built."""
+    # Every augmented coordinate is saturated and the dimension is kept.
     return Dataset.from_columns(
         dataset.dimension,
         dataset.num_groups,
         dataset.num_labels,
-        rows,
+        _augment_rows(config, dataset.features, 0),
         dataset.groups,
         dataset.labels,
     )

@@ -15,15 +15,16 @@ import functools
 import hashlib
 import json
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import itemgetter, mul, rshift
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from . import fixedpoint as fx
-from .fairness import micro_fraction, to_micro
-from .prg import CounterPrg, derive_key
+from .fairness import IdOutOfRangeError, micro_fraction, to_micro
+from .prg import derive_key, ints_below, iter_words, threshold
 from .prg import hash_u64  # noqa: F401  (defines the flip draw; bench/ traces it here)
 
 MODEL_MAGIC = b"FAIRM1"
@@ -33,15 +34,10 @@ ARCH_LINEAR = 0
 ARCH_LOOKUP = 1
 ARCH_BIASED = 2
 
-_U64 = 1 << 64
 _FLIP_TAG = b"flip:"
 
 
 class DimensionMismatchError(ValueError):
-    pass
-
-
-class IdOutOfRangeError(ValueError):
     pass
 
 
@@ -377,10 +373,9 @@ def _lookup_kernel(model: LookupModel) -> Kernel:
 
 def _biased_kernel(model: BiasedModel) -> Kernel:
     inner = model.inner._kernel
-    # The draw is hash_u64(_FLIP_TAG, seed, packed features) and the flip
-    # test draw * den < num * 2**64; for an integer draw that is
-    # draw < ceil(num * 2**64 / den). A zero rate never flips, unhashed.
-    limits = tuple(-(-r.numerator * _U64 // r.denominator) for r in model.flip_rates)
+    # The draw is hash_u64(_FLIP_TAG, seed, packed features), compared with
+    # the rate's integer threshold. A zero rate never flips, unhashed.
+    limits = tuple(map(threshold, model.flip_rates))
     prefix = _FLIP_TAG + model.seed
     pack = struct.Struct(f"<{model.dimension}i").pack
     following = tuple((y + 1) % model.num_labels for y in range(model.num_labels))
@@ -650,28 +645,6 @@ def true_gaps(config: PlantedConfig) -> TrueGapReport:
     return TrueGapReport(ore=spread, eo=eo, dp=dp)
 
 
-def _planted_features(
-    config: PlantedConfig, label: int, stream: CounterPrg
-) -> tuple[int, ...]:
-    # One-hot +/-1 block decodes the label; trailing coordinates are
-    # uniform noise in [-1, 1) at exact Q16.16 resolution.
-    head = [fx.ONE if j == label else -fx.ONE for j in range(config.num_labels)]
-    tail = [stream.int_below(2 * fx.ONE) - fx.ONE for _ in range(config.noise_dims)]
-    return tuple(head + tail)
-
-
-def _cumulative_cells(config: PlantedConfig) -> list[tuple[Fraction, int]]:
-    acc = Fraction(0)
-    out = []
-    idx = 0
-    for row in config.cell_weights:
-        for w in row:
-            acc += w
-            out.append((acc, idx))
-            idx += 1
-    return out
-
-
 def generate_planted(
     config: PlantedConfig,
     m: int,
@@ -685,33 +658,39 @@ def generate_planted(
     group's conditional weights), which is how test sets of exactly the
     required size are produced.
     """
-    stream = CounterPrg(derive_key(config.seed, "data"))
+    # Each sample takes one draw for its cell, compared with the integer
+    # thresholds of its cumulative weights (bisect finds the first bound
+    # above the draw; the last bound is 2**64), then noise_dims draws for its
+    # noise coordinates. Features are a one-hot +/-1 block that decodes the
+    # label, then uniform noise in [-1, 1) at exact Q16.16 resolution.
+    words = iter_words(derive_key(config.seed, "data"))
+    labels_count, noise_dims = config.num_labels, config.noise_dims
+    heads = [
+        tuple(fx.ONE if j == y else -fx.ONE for j in range(labels_count))
+        for y in range(labels_count)
+    ]
     features, groups, labels = [], [], []
 
     def draw(g: int, y: int) -> None:
-        features.append(_planted_features(config, y, stream))
+        features.append(heads[y] + tuple(ints_below(words, 2 * fx.ONE, noise_dims, -fx.ONE)))
         groups.append(g)
         labels.append(y)
 
     if group_counts is None:
         if m < 0:
             raise ValueError("m must be nonnegative")
-        cumulative = _cumulative_cells(config)
+        limits = [threshold(acc) for acc in accumulate(chain.from_iterable(config.cell_weights))]
+        cells = [divmod(i, labels_count) for i in range(len(limits))]
         for _ in range(m):
-            draw(*divmod(stream.choose_weighted(cumulative), config.num_labels))
+            draw(*cells[bisect_right(limits, next(words))])
     else:
         if len(group_counts) != config.num_groups:
             raise ValueError("one count per group required")
-        for g, count in enumerate(group_counts):
+        for g, amount in enumerate(group_counts):
             row = config.cell_weights[g]
-            total = sum(row)
-            acc = Fraction(0)
-            cumulative = []
-            for y, w in enumerate(row):
-                acc += w / total
-                cumulative.append((acc, y))
-            for _ in range(count):
-                draw(g, stream.choose_weighted(cumulative))
+            limits = [threshold(acc / sum(row)) for acc in accumulate(row)]
+            for _ in range(amount):
+                draw(g, bisect_right(limits, next(words)))
     dataset = Dataset.from_columns(
         config.dimension, config.num_groups, config.num_labels, features, groups, labels
     )

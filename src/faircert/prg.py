@@ -2,8 +2,15 @@
 
 Block i of the stream is SHA3-256(key || i as 8-byte little-endian), so a
 (key, index) pair always yields the same draws regardless of platform,
-process, or call order. All simulation randomness in the package (planted
-data, label flips, augmentation noise) flows through this module.
+process, or call order. Each block is read as four little-endian 64-bit
+words, in order; `stream_words` is the one definition of that stream, and
+`CounterPrg` and the bulk consumers (the augmentor, the planted generator)
+all read it. All simulation randomness in the package (planted data, label
+flips, augmentation noise) flows through this module.
+
+A draw u is compared with a probability p exactly, as u / 2**64 < p, through
+the integer `threshold(p)`: for an integer u, u * den < num * 2**64 holds
+exactly when u < ceil(num * 2**64 / den).
 """
 
 from __future__ import annotations
@@ -12,9 +19,15 @@ import hashlib
 import math
 import struct
 from fractions import Fraction
+from itertools import chain, count, islice
+from typing import Iterator
 
 _U64 = 1 << 64
 _TWO_PI = 2.0 * math.pi
+_COUNTER = struct.Struct("<Q")
+WORDS_PER_BLOCK = 4
+CHUNK_BLOCKS = 256
+_BLOCK = struct.Struct(f"<{WORDS_PER_BLOCK}Q")
 
 
 def derive_key(master: bytes, label: str) -> bytes:
@@ -27,57 +40,82 @@ def hash_u64(*parts: bytes) -> int:
     return int.from_bytes(hashlib.sha3_256(b"".join(parts)).digest()[:8], "little")
 
 
+def stream_words(key: bytes, start: int, blocks: int) -> tuple[int, ...]:
+    """The words of blocks start .. start + blocks - 1 of key's stream, four
+    per block, in stream order."""
+    sha3, pack = hashlib.sha3_256, _COUNTER.pack
+    if blocks == 1:
+        return _BLOCK.unpack(sha3(key + pack(start)).digest())
+    data = b"".join([sha3(key + pack(i)).digest() for i in range(start, start + blocks)])
+    return struct.unpack(f"<{WORDS_PER_BLOCK * blocks}Q", data)
+
+
+def iter_words(key: bytes) -> Iterator[int]:
+    """key's stream word by word, hashed CHUNK_BLOCKS blocks at a time (at
+    most that many blocks beyond the last word read are hashed)."""
+    return chain.from_iterable(
+        stream_words(key, start, CHUNK_BLOCKS) for start in count(0, CHUNK_BLOCKS)
+    )
+
+
+def ints_below(words: Iterator[int], n: int, amount: int, low: int = 0) -> list[int]:
+    """`amount` uniform ints in [low, low + n). Each is low plus the next
+    word below the largest multiple of n that fits in 2**64, reduced mod n;
+    words at or above that multiple are rejected (none are, and none are
+    tested, when n divides 2**64)."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    limit = _U64 - (_U64 % n)
+    if limit < _U64:
+        words = filter(limit.__gt__, words)
+    return [u % n + low for u in islice(words, amount)]
+
+
+def threshold(prob: Fraction) -> int:
+    """The integer t with u < t exactly when u / 2**64 < prob, for every
+    u in [0, 2**64): ceil(prob * 2**64), and 0 when prob <= 0."""
+    return max(0, -(-prob.numerator * _U64 // prob.denominator))
+
+
 class CounterPrg:
     """Stream of uniform draws expanded from a key by a counter."""
 
     def __init__(self, key: bytes):
         self._key = bytes(key)
         self._counter = 0
-        self._buf = b""
+        self._words: tuple[int, ...] = ()
+        self._pos = 0
         self._gauss_spare: float | None = None
 
-    def _refill(self) -> None:
-        block = hashlib.sha3_256(
-            self._key + struct.pack("<Q", self._counter)
-        ).digest()
-        self._counter += 1
-        self._buf += block
-
     def u64(self) -> int:
-        while len(self._buf) < 8:
-            self._refill()
-        value = int.from_bytes(self._buf[:8], "little")
-        self._buf = self._buf[8:]
-        return value
+        pos = self._pos
+        if pos == len(self._words):
+            self._words = stream_words(self._key, self._counter, 1)
+            self._counter += 1
+            pos = 0
+        self._pos = pos + 1
+        return self._words[pos]
 
     def uniform(self) -> float:
         """Float in [0, 1)."""
         return self.u64() / _U64
 
     def below(self, prob: Fraction) -> bool:
-        """Exact Bernoulli(prob) using integer comparison, no float rounding."""
-        if prob <= 0:
-            self.u64()
-            return False
-        return self.u64() * prob.denominator < prob.numerator * _U64
+        """Exact Bernoulli(prob): one draw, compared with an integer
+        threshold, no float rounding. A draw is consumed even when prob <= 0."""
+        return self.u64() < threshold(prob)
 
     def choose_weighted(self, cumulative: list[tuple[Fraction, int]]) -> int:
         """Pick an index from exact cumulative weights (last must reach 1)."""
-        u = Fraction(self.u64(), _U64)
+        u = self.u64()
         for bound, idx in cumulative:
-            if u < bound:
+            if u < threshold(bound):
                 return idx
         return cumulative[-1][1]
 
     def int_below(self, n: int) -> int:
         """Uniform int in [0, n) by rejection, exact."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        limit = _U64 - (_U64 % n)
-        while True:
-            u = self.u64()
-            if u < limit:
-                return u % n
+        return ints_below(iter(self.u64, None), n, 1)[0]
 
     def gauss(self) -> float:
         """Standard normal via Box-Muller on two 64-bit uniforms."""

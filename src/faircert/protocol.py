@@ -640,13 +640,14 @@ def run_certification_local(
         chan.close()
     t_server.join(timeout)
     t_dealer.join(timeout)
-    for name in ("regulator", "server"):
+    # The dealer's failure comes first: a party then only times out waiting.
+    for name in ("session", "regulator", "server"):
         if isinstance(results.get(name), Exception):
             raise results[name]
     return LocalRun(
         regulator_result=results.get("regulator"),
         server_result=results.get("server"),
-        session=results.get("session") if isinstance(results.get("session"), FscSession) else None,
+        session=results.get("session"),
         recorders=rec,
     )
 
@@ -684,13 +685,14 @@ def run_inference_local(
         chan.close()
     t_server.join(timeout)
     t_dealer.join(timeout)
-    for name in ("client", "server"):
+    # The dealer's failure comes first: a party then only times out waiting.
+    for name in ("session", "client", "server"):
         if isinstance(results.get(name), Exception):
             raise results[name]
     return LocalRun(
         client_result=results.get("client"),
         server_result=results.get("server"),
-        session=results.get("session") if isinstance(results.get("session"), FscSession) else None,
+        session=results.get("session"),
         recorders=rec,
     )
 

@@ -1,3 +1,6 @@
+import hashlib
+import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -211,3 +214,86 @@ def test_shape_laws_property(features, index, group, label):
     assert len(out.features) == len(s.features)
     assert out.group == group and out.label == label
     assert all(fx.INT32_MIN <= v <= fx.INT32_MAX for v in out.features)
+
+
+# --- augment_dataset against a per-sample reference loop --------------------------
+
+
+class _ReferencePrg:
+    """The counter stream drawn one word at a time, with Fraction
+    comparisons and a Box-Muller spare, as a plain reference."""
+
+    def __init__(self, key):
+        self.key, self.counter, self.buf, self.spare = key, 0, b"", None
+
+    def u64(self):
+        while len(self.buf) < 8:
+            self.buf += hashlib.sha3_256(self.key + struct.pack("<Q", self.counter)).digest()
+            self.counter += 1
+        value, self.buf = int.from_bytes(self.buf[:8], "little"), self.buf[8:]
+        return value
+
+    def below(self, prob):
+        u = self.u64()
+        return prob > 0 and Fraction(u, 2**64) < prob
+
+    def gauss(self):
+        if self.spare is not None:
+            z, self.spare = self.spare, None
+            return z
+        u1 = (self.u64() + 1) / 2**64
+        u2 = self.u64() / 2**64
+        r = math.sqrt(-2.0 * math.log(u1))
+        self.spare = r * math.sin(2.0 * math.pi * u2)
+        return r * math.cos(2.0 * math.pi * u2)
+
+
+def _reference_augment(cfg, features, index):
+    stream = _ReferencePrg(cfg.master_seed + struct.pack("<Q", index))
+    invoke = cfg.invoke_prob * cfg.degree
+    noise, mask = stream.below(invoke), stream.below(invoke)
+    out = list(features)
+    if noise and cfg.noise_sigma > 0:
+        out = [fx.saturate(v + round(stream.gauss() * cfg.noise_sigma)) for v in out]
+    if mask and cfg.mask_prob > 0:
+        out = [0 if stream.below(cfg.mask_prob) else v for v in out]
+    return tuple(out)
+
+
+micro = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.integers(min_value=0, max_value=10**6).map(lambda k: Fraction(k, 10**6)),
+)
+
+
+@st.composite
+def feature_rows(draw):
+    dim = draw(st.integers(min_value=1, max_value=9))
+    value = st.one_of(
+        st.integers(min_value=-4 * fx.ONE, max_value=4 * fx.ONE),
+        st.integers(min_value=fx.INT32_MIN, max_value=fx.INT32_MAX),
+    )
+    rows = draw(st.lists(st.tuples(*[value] * dim), min_size=1, max_size=12))
+    return dim, rows
+
+
+@settings(max_examples=150)
+@given(
+    st.binary(min_size=8, max_size=8),
+    st.one_of(
+        st.sampled_from([0, 1, fx.ONE, fx.INT32_MAX]),
+        st.integers(min_value=0, max_value=4 * fx.ONE),
+        st.integers(min_value=0, max_value=fx.INT32_MAX),
+    ),
+    micro,
+    micro,
+    micro,
+    feature_rows(),
+)
+def test_augment_dataset_matches_the_reference_loop(seed, sigma, mask, invoke, degree, shape):
+    dim, rows = shape
+    cfg = AugmentorConfig(seed, sigma, mask, invoke, degree)
+    dataset = Dataset.from_columns(dim, 1, 1, rows, [0] * len(rows), [0] * len(rows))
+    expected = [_reference_augment(cfg, row, i) for i, row in enumerate(rows)]
+    assert list(augment_dataset(cfg, dataset).features) == expected
+    assert augment(cfg, Sample(rows[-1], 0, 0), len(rows) - 1).features == expected[-1]

@@ -1,10 +1,21 @@
 import hashlib
 from fractions import Fraction
+from itertools import islice
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faircert.prg import CounterPrg, derive_key, hash_u64
+from faircert.prg import (
+    CHUNK_BLOCKS,
+    WORDS_PER_BLOCK,
+    CounterPrg,
+    derive_key,
+    hash_u64,
+    ints_below,
+    iter_words,
+    stream_words,
+    threshold,
+)
 
 
 def test_derive_key_matches_hash():
@@ -112,3 +123,111 @@ def test_distinct_keys_diverge(k1, k2):
 def test_hash_u64_is_prefix_of_sha3():
     digest = hashlib.sha3_256(b"ab" + b"cd").digest()
     assert hash_u64(b"ab", b"cd") == int.from_bytes(digest[:8], "little")
+
+
+# --- the block-batched stream and the integer thresholds --------------------------
+
+U64 = 2**64
+
+
+class FixedPrg(CounterPrg):
+    """A CounterPrg whose draws are given, to put a draw at any threshold."""
+
+    def __init__(self, draws):
+        super().__init__(b"fixed")
+        self._draws = list(draws)
+
+    def u64(self):
+        return self._draws.pop(0)
+
+
+probabilities = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1, 3)]),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(2**70), max_value=2**70),
+        st.integers(min_value=1, max_value=2**70),
+    ).filter(lambda p: p <= 1),
+)
+
+
+def near(t):
+    """Draws at and around an integer threshold, inside [0, 2**64)."""
+    return sorted({u for u in (t - 2, t - 1, t, t + 1) if 0 <= u < U64})
+
+
+@given(
+    st.binary(min_size=1, max_size=24),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=1, max_value=6),
+)
+def test_stream_words_equal_repeated_u64(key, start, blocks):
+    prg = CounterPrg(key)
+    for _ in range(4 * start):
+        prg.u64()
+    assert list(stream_words(key, start, blocks)) == [prg.u64() for _ in range(4 * blocks)]
+
+
+@settings(max_examples=20)
+@given(
+    st.binary(min_size=1, max_size=24),
+    st.integers(min_value=0, max_value=3 * WORDS_PER_BLOCK * CHUNK_BLOCKS),
+)
+def test_iter_words_equal_repeated_u64(key, amount):
+    prg = CounterPrg(key)
+    assert list(islice(iter_words(key), amount)) == [prg.u64() for _ in range(amount)]
+
+
+@given(probabilities, st.integers(min_value=0, max_value=U64 - 1))
+def test_threshold_agrees_with_the_fraction_comparison(prob, draw):
+    t = threshold(prob)
+    for u in near(t) + [draw]:
+        assert (u < t) == (Fraction(u, U64) < prob)
+
+
+@given(probabilities, st.integers(min_value=0, max_value=U64 - 1))
+def test_below_agrees_with_the_fraction_comparison(prob, draw):
+    draws = near(threshold(prob)) + [draw]
+    prg = FixedPrg(draws)
+    assert [prg.below(prob) for _ in draws] == [Fraction(u, U64) < prob for u in draws]
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=6).filter(any),
+    st.integers(min_value=0, max_value=U64 - 1),
+)
+def test_choose_weighted_agrees_with_the_fraction_scan(weights, draw):
+    total = sum(weights)
+    cumulative, acc = [], Fraction(0)
+    for idx, w in enumerate(weights):
+        acc += Fraction(w, total)
+        cumulative.append((acc, idx))
+    draws = [draw] + [u for bound, _ in cumulative for u in near(threshold(bound))]
+
+    def scan(u):
+        return next((idx for bound, idx in cumulative if Fraction(u, U64) < bound), cumulative[-1][1])
+
+    prg = FixedPrg(draws)
+    assert [prg.choose_weighted(cumulative) for _ in draws] == [scan(u) for u in draws]
+
+
+@given(
+    st.integers(min_value=1, max_value=2**66),
+    st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=U64 - 1),
+            st.integers(min_value=U64 - 64, max_value=U64 - 1),
+        ),
+        max_size=30,
+    ),
+    st.integers(min_value=-5, max_value=5),
+)
+def test_ints_below_rejects_like_int_below(n, words, low):
+    # Words near 2**64 sit above the largest multiple of n that fits, for
+    # most n, and are rejected; the reference is the sequential loop.
+    limit = U64 - U64 % n
+    accepted = [u % n + low for u in words if u < limit]
+    amount = len(accepted)
+    assert ints_below(iter(words), n, amount, low) == accepted
+    prg = FixedPrg(words)
+    assert [prg.int_below(n) + low for _ in range(amount)] == accepted

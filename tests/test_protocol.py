@@ -500,6 +500,36 @@ def test_inference_aborts_propagate():
     assert run.session.abort_reason == "DIMENSION_MISMATCH"
 
 
+class _DealerFault(RuntimeError):
+    pass
+
+
+def _fail(*args):
+    raise _DealerFault("dealer fault")
+
+
+def test_certification_harness_reraises_the_dealer_failure(monkeypatch):
+    monkeypatch.setattr(dealer, "augment_dataset", _fail)
+    aug = AugmentorConfig(master_seed=b"\x77" * 8, noise_sigma=fx.ONE // 100)
+    spec = FairnessSpec(
+        metric=FairnessMetric.ORE,
+        epsilon=Fraction(1, 2),
+        delta=Fraction(1, 5),
+        alpha=Fraction(1, 2),
+    )
+    regulator, server, _, _ = certification_setup(spec=spec, aug=aug)
+    with pytest.raises(_DealerFault):
+        run_certification_local(regulator, server, timeout=1.0)
+
+
+def test_inference_harness_reraises_the_dealer_failure(monkeypatch):
+    monkeypatch.setattr(dealer, "deserialize_model", _fail)
+    server, _, pair = linear_server()
+    client = Client((0, fx.ONE, 0), pair.verification_key, CHEAP_SPEC)
+    with pytest.raises(_DealerFault):
+        run_inference_local(client, server, timeout=1.0)
+
+
 # --- TCP transport ---------------------------------------------------------------------
 
 
