@@ -112,11 +112,15 @@ def _augment_rows(
     draws per pair of coordinates (Box-Muller: cos for the first, sin for
     the second; an odd dimension leaves the last sin unused), then, when
     masking applies, one draw per coordinate. Block 0 is hashed first, and
-    only the blocks those draws reach after it.
+    only the blocks those draws reach after it; a config that can change
+    nothing (invocation probability 0, or neither noise nor masking) hashes
+    no block.
     """
     invoke = threshold(config.effective_invoke_prob)
     sigma = config.noise_sigma
     mask = threshold(config.mask_prob)
+    if not invoke or not (sigma or mask):
+        return list(rows)  # no draw could change a row, so none is hashed
     seed, pack, saturate = config.master_seed, _INDEX.pack, fx.saturate
     out = []
     for index, row in enumerate(rows, first):
