@@ -13,6 +13,7 @@ from conftest import certification_setup
 
 from faircert import fixedpoint as fx
 from faircert.augmentor import AugmentorConfig, augment_dataset
+from faircert.cli import main
 from faircert.crypto import Certificate
 from faircert.dealer import encode_test_bundle
 from faircert.experiments import run_coverage, write_coverage_csv
@@ -252,3 +253,47 @@ def test_counter_prg_draws():
         else:
             mixed.append(int(prg.below(Fraction(0))))
     assert sha3(repr(mixed).encode()) == "3e806ea344361fbd10c759fd35009e5f4cf1f2e6f22e8912c28b13d5fb729359"
+
+
+# CLI experiment CSVs, with nondefault augmentor flags so every flag the
+# commands parse reaches the bytes.
+CLI_CONFIG = PlantedConfig(
+    cell_weights=((Fraction(1, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 4))),
+    error_rates=(Fraction(1, 10), Fraction(1, 4)),
+    seed=bytes(8),
+    noise_dims=2,
+)
+AUG_FLAGS = [
+    "--aug-sigma", "0.7", "--mask-prob", "0.2", "--invoke-prob", "0.5", "--degree", "0.75"
+]
+
+
+def _cli_csv(tmp_path, argv) -> bytes:
+    config_path = tmp_path / "config.json"
+    config_path.write_text(CLI_CONFIG.to_json())
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--config", str(config_path), "--out", str(out)] + AUG_FLAGS) == 0
+    return out.read_bytes()
+
+
+def test_attack_knn_csv(tmp_path):
+    data = _cli_csv(
+        tmp_path,
+        [
+            "attack-knn",
+            "--fair-rates", "0.15,0.15",
+            "--unfair-rates", "0.02,0.25",
+            "--ref-size", "60",
+            "--eval-size", "120",
+            "--taus", "0,0.5,2,inf",
+            "--seed", "13",
+        ],
+    )
+    assert sha3(data) == "4e31f40390dcc0a19939a2c39a86ee3236d517c1bf18b904164ee5139d6660cb"
+
+
+def test_augment_sweep_csv(tmp_path):
+    data = _cli_csv(
+        tmp_path, ["augment-sweep", "--m", "200", "--degrees", "0,0.5,1", "--seed", "3"]
+    )
+    assert sha3(data) == "d9b8bc1f79bde04d5bcf22244229aa593679ca2ecf3549e2027adc7dc2ee018d"
