@@ -16,7 +16,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import fixedpoint as fx
-from .augmentor import AugmentorConfig
+from .augmentor import AugmentorConfig, augment_dataset
 from .crypto import Certificate, keygen
 from .dealer import estimate_gates, estimate_gates_for_model
 from .experiments import (
@@ -100,10 +100,13 @@ def _parse_taus(text: str) -> list[float]:
     return [float(part) for part in text.split(",")]
 
 
-def _open_out(path: str | None):
+def _write_out(path: str | None, write, rows) -> None:
+    """write(fh, rows) to the file at path, or to stdout for None or "-"."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        write(sys.stdout, rows)
+        return
+    with open(path, "w", newline="") as fh:
+        write(fh, rows)
 
 
 def _spec_from_args(args) -> FairnessSpec:
@@ -120,9 +123,9 @@ def _spec_from_args(args) -> FairnessSpec:
     )
 
 
-def _aug_from_args(args, seed: int) -> AugmentorConfig:
+def _aug_from_args(args, label: str) -> AugmentorConfig:
     return AugmentorConfig(
-        master_seed=derive_key(_seed_bytes(seed), "augment"),
+        master_seed=derive_key(_seed_bytes(args.seed), label),
         noise_sigma=_parse_fixed(args.aug_sigma),
         mask_prob=parse_micro(args.mask_prob),
         invoke_prob=parse_micro(args.invoke_prob),
@@ -236,7 +239,7 @@ def cmd_certify(args) -> int:
 
     with open(args.data, "rb") as fh:
         dataset = decode_dataset(fh.read())
-    aug = _aug_from_args(args, args.seed) if args.mode == "augmented" else None
+    aug = _aug_from_args(args, "augment") if args.mode == "augmented" else None
     keypair = keygen(_signing_seed(args.seed))
     regulator = Regulator(keypair, dataset, spec, aug)
     if args.vk_out:
@@ -345,12 +348,7 @@ def cmd_experiment_coverage(args) -> int:
     results = run_coverage(
         config, spec, args.trials, m=args.m, group_counts=group_counts
     )
-    fh, owned = _open_out(args.out)
-    try:
-        write_coverage_csv(fh, results)
-    finally:
-        if owned:
-            fh.close()
+    _write_out(args.out, write_coverage_csv, results)
     return EXIT_OK
 
 
@@ -362,16 +360,7 @@ def cmd_attack_knn(args) -> int:
     unfair = planted_model(unfair_cfg)
     ref_cfg = replace(config, seed=derive_key(config.seed, "reference"))
     reference, _, _ = generate_planted(ref_cfg, args.ref_size)
-    aug = AugmentorConfig(
-        master_seed=derive_key(_seed_bytes(args.seed), "attack-aug"),
-        noise_sigma=_parse_fixed(args.aug_sigma),
-        mask_prob=parse_micro(args.mask_prob),
-        invoke_prob=parse_micro(args.invoke_prob),
-        degree=parse_micro(args.degree),
-    )
-    from .augmentor import augment_dataset
-
-    reference = augment_dataset(aug, reference)
+    reference = augment_dataset(_aug_from_args(args, "attack-aug"), reference)
     eval_cfg = replace(
         unfair_cfg, seed=derive_key(config.seed, "eval")
     )
@@ -380,31 +369,15 @@ def cmd_attack_knn(args) -> int:
         fair, unfair, reference.features, eval_dataset,
         _parse_taus(args.taus),
     )
-    fh, owned = _open_out(args.out)
-    try:
-        write_attack_csv(fh, points)
-    finally:
-        if owned:
-            fh.close()
+    _write_out(args.out, write_attack_csv, points)
     return EXIT_OK
 
 
 def cmd_augment_sweep(args) -> int:
     config = _load_config(args)
-    base = AugmentorConfig(
-        master_seed=derive_key(_seed_bytes(args.seed), "augment"),
-        noise_sigma=_parse_fixed(args.aug_sigma),
-        mask_prob=parse_micro(args.mask_prob),
-        invoke_prob=parse_micro(args.invoke_prob),
-    )
     degrees = _parse_fraction_list(args.degrees)
-    points = augmentation_sweep(config, args.m, base, degrees)
-    fh, owned = _open_out(args.out)
-    try:
-        write_sweep_csv(fh, points)
-    finally:
-        if owned:
-            fh.close()
+    points = augmentation_sweep(config, args.m, _aug_from_args(args, "augment"), degrees)
+    _write_out(args.out, write_sweep_csv, points)
     return EXIT_OK
 
 

@@ -34,6 +34,7 @@ from .fairness import (
     MICRO,
     build_risk_table,
     comparison_cells,
+    empirical_gap,
     min_samples,
     relevant_counts,
     to_micro,
@@ -149,28 +150,12 @@ def integer_gap_strictly_below(
     return True
 
 
-def _exact_gap_from_pairs(table: GroupRiskTable, metric) -> Fraction:
-    gap = Fraction(0)
-    for cells in comparison_cells(table, metric):
-        for i in range(len(cells)):
-            n0, d0 = cells[i]
-            for j in range(i + 1, len(cells)):
-                n1, d1 = cells[j]
-                diff = Fraction(abs(n0 * d1 - n1 * d0), d0 * d1)
-                if diff > gap:
-                    gap = diff
-    return gap
-
-
 def certification_decision(spec: FairnessSpec, table: GroupRiskTable) -> bool:
     """The circuit's pass bit: integer gap test plus the sample-count
     condition on the public counts, evaluated beside the integer core."""
-    if table.num_groups >= 2:
-        if not integer_gap_strictly_below(table, spec.metric, spec.threshold):
-            return False
-        gap = _exact_gap_from_pairs(table, spec.metric)
-    else:
-        gap = Fraction(0)
+    if not integer_gap_strictly_below(table, spec.metric, spec.threshold):
+        return False
+    gap = empirical_gap(table, spec.metric)
     required = min_samples(spec, gap, table.num_groups, table.num_labels)
     return min(relevant_counts(table, spec.metric)) >= required
 

@@ -277,7 +277,10 @@ def encode_cert_request(
 
 
 def decode_cert_request(payload: bytes) -> tuple[FairnessSpec, int, bytes | None]:
-    spec, offset = decode_fairness_spec(payload, 0)
+    try:
+        spec, offset = decode_fairness_spec(payload, 0)
+    except MalformedCertificateError as exc:
+        raise ProtocolError(f"certification request spec: {exc}") from exc
     try:
         (total,) = struct.unpack_from("<I", payload, offset)
     except struct.error as exc:
@@ -576,8 +579,15 @@ def serve_dealer(channel_a, channel_b) -> FscSession:
     return session
 
 
-# In-process orchestration: three endpoints on queue channels, with every
-# channel end wrapped in a recorder so tests can audit exactly what moved.
+# Session harness: the checker (regulator or client), the server and the
+# dealer each run on a thread, over three links made by a link factory
+# (channel_pair, or a TCP link), with every party-held end wrapped in a
+# recorder so tests can audit exactly what moved. Each thread closes its own
+# ends once its call has returned or raised: a frame it sent stays ahead of
+# the close on both transports, and a party that fails unblocks its peers at
+# once, since they see ChannelClosed instead of waiting out the timeout.
+
+Link = Callable[[float], tuple[object, object]]
 
 
 @dataclass
@@ -589,11 +599,7 @@ class LocalRun:
     recorders: dict | None = None
 
 
-def _factory_of(channel) -> ChannelFactory:
-    return lambda: channel
-
-
-def _run_thread(holder: dict, key: str, fn: Callable) -> threading.Thread:
+def _run_thread(holder: dict, key: str, fn: Callable, ends) -> threading.Thread:
     def run():
         try:
             holder[key] = fn()
@@ -601,100 +607,62 @@ def _run_thread(holder: dict, key: str, fn: Callable) -> threading.Thread:
             holder[key] = None
         except Exception as exc:  # surfaced by the harness caller
             holder[key] = exc
+        finally:
+            for end in ends:
+                end.close()
 
     t = threading.Thread(target=run, daemon=True)
     t.start()
     return t
 
 
-def run_certification_local(
-    regulator: Regulator, server: Server, timeout: float = DEFAULT_TIMEOUT
+def _run_session(
+    checker: str, check: Callable, serve: Callable, timeout: float, link: Link
 ) -> LocalRun:
-    rs_r, rs_s = channel_pair(timeout)
-    sf_s, sf_f = channel_pair(timeout)
-    rf_r, rf_f = channel_pair(timeout)
+    # x_y is party x's end of its link to party y: c checker, s server, d dealer.
+    (c_s, s_c), (s_d, d_s), (c_d, d_c) = (link(timeout) for _ in range(3))
+    c_s, s_c, s_d, c_d = map(RecordingChannel, (c_s, s_c, s_d, c_d))
+    short = "reg" if checker == "regulator" else checker
     rec = {
-        "reg_to_server": RecordingChannel(rs_r),
-        "server_to_reg": RecordingChannel(rs_s),
-        "server_to_dealer": RecordingChannel(sf_s),
-        "reg_to_dealer": RecordingChannel(rf_r),
+        f"{short}_to_server": c_s,
+        f"server_to_{short}": s_c,
+        "server_to_dealer": s_d,
+        f"{short}_to_dealer": c_d,
     }
     results: dict = {}
-    t_dealer = _run_thread(results, "session", lambda: serve_dealer(sf_f, rf_f))
-    t_server = _run_thread(
-        results,
-        "server",
-        lambda: server.serve_certification(
-            rec["server_to_reg"], _factory_of(rec["server_to_dealer"])
-        ),
+    parties = (
+        ("session", lambda: serve_dealer(d_s, d_c), (d_s, d_c)),
+        ("server", lambda: serve(s_c, lambda: s_d), (s_c, s_d)),
+        (checker, lambda: check(lambda: c_s, lambda: c_d), (c_s, c_d)),
     )
-    t_reg = _run_thread(
-        results,
-        "regulator",
-        lambda: regulator.certify(
-            _factory_of(rec["reg_to_server"]), _factory_of(rec["reg_to_dealer"])
-        ),
-    )
-    t_reg.join(timeout)
-    for chan in (rs_r, rs_s, sf_s, sf_f, rf_r, rf_f):
-        chan.close()
-    t_server.join(timeout)
-    t_dealer.join(timeout)
-    # The dealer's failure comes first: a party then only times out waiting.
-    for name in ("session", "regulator", "server"):
+    for thread in [_run_thread(results, *party) for party in parties]:
+        thread.join()
+    # A failing party closes its ends, so its peers end with ChannelClosed
+    # (None) and only the failure itself is an exception here.
+    for name in ("session", checker, "server"):
         if isinstance(results.get(name), Exception):
             raise results[name]
     return LocalRun(
-        regulator_result=results.get("regulator"),
         server_result=results.get("server"),
         session=results.get("session"),
         recorders=rec,
+        **{f"{checker}_result": results.get(checker)},
     )
+
+
+def run_certification_local(
+    regulator: Regulator,
+    server: Server,
+    timeout: float = DEFAULT_TIMEOUT,
+    link: Link = channel_pair,
+) -> LocalRun:
+    return _run_session("regulator", regulator.certify, server.serve_certification, timeout, link)
 
 
 def run_inference_local(
-    client: Client, server: Server, timeout: float = DEFAULT_TIMEOUT
+    client: Client, server: Server, timeout: float = DEFAULT_TIMEOUT, link: Link = channel_pair
 ) -> LocalRun:
-    cs_c, cs_s = channel_pair(timeout)
-    sf_s, sf_f = channel_pair(timeout)
-    cf_c, cf_f = channel_pair(timeout)
-    rec = {
-        "client_to_server": RecordingChannel(cs_c),
-        "server_to_client": RecordingChannel(cs_s),
-        "server_to_dealer": RecordingChannel(sf_s),
-        "client_to_dealer": RecordingChannel(cf_c),
-    }
-    results: dict = {}
-    t_dealer = _run_thread(results, "session", lambda: serve_dealer(sf_f, cf_f))
-    t_server = _run_thread(
-        results,
-        "server",
-        lambda: server.serve_inference(
-            rec["server_to_client"], _factory_of(rec["server_to_dealer"])
-        ),
-    )
-    t_client = _run_thread(
-        results,
-        "client",
-        lambda: client.infer(
-            _factory_of(rec["client_to_server"]), _factory_of(rec["client_to_dealer"])
-        ),
-    )
-    t_client.join(timeout)
-    for chan in (cs_c, cs_s, sf_s, sf_f, cf_c, cf_f):
-        chan.close()
-    t_server.join(timeout)
-    t_dealer.join(timeout)
-    # The dealer's failure comes first: a party then only times out waiting.
-    for name in ("session", "client", "server"):
-        if isinstance(results.get(name), Exception):
-            raise results[name]
-    return LocalRun(
-        client_result=results.get("client"),
-        server_result=results.get("server"),
-        session=results.get("session"),
-        recorders=rec,
-    )
+    return _run_session("client", client.infer, server.serve_inference, timeout, link)
 
 
 # TCP plumbing shared by tests and the CLI.

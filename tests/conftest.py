@@ -1,20 +1,18 @@
-"""Shared builders and the TCP orchestration harness used across test files."""
+"""Shared builders and the loopback TCP link used across test files."""
 
-import threading
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from faircert.crypto import keygen
 from faircert.fairness import FairnessMetric, FairnessSpec
 from faircert.model import PlantedConfig, generate_planted
 from faircert.protocol import (
-    ChannelClosed,
-    RecordingChannel,
     Regulator,
     Server,
     accept_channel,
     connect_channel,
     open_listener,
-    serve_dealer,
 )
 
 KEY_SEED = bytes(range(32))
@@ -50,128 +48,48 @@ def certification_setup(
     return regulator, Server(model), dataset, model
 
 
-def _capture(results, key, fn):
-    def run():
+def tcp_link(timeout):
+    """The link channel_pair makes, over a connected pair of loopback sockets."""
+    listener = open_listener("127.0.0.1", 0)
+    try:
+        near = connect_channel("127.0.0.1", listener.getsockname()[1], timeout)
+        return near, accept_channel(listener, timeout)
+    finally:
+        listener.close()
+
+
+_MICRO = st.integers(1, 10**6 - 1).map(lambda units: Fraction(units, 10**6))
+
+
+@st.composite
+def specs(draw):
+    return FairnessSpec(
+        metric=draw(st.sampled_from(FairnessMetric)),
+        epsilon=draw(_MICRO),
+        delta=draw(_MICRO),
+        alpha=draw(st.none() | _MICRO),
+    )
+
+
+def mutated(data, blob):
+    """blob after one to four flipped bytes, cuts and appends drawn from data."""
+    out = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 4))):
+        action = data.draw(st.sampled_from(("flip", "cut", "append")))
+        if action == "flip" and out:
+            out[data.draw(st.integers(0, len(out) - 1))] ^= data.draw(st.integers(1, 255))
+        elif action == "cut":
+            del out[data.draw(st.integers(0, len(out))) :]
+        else:
+            out += data.draw(st.binary(min_size=1, max_size=8))
+    return bytes(out)
+
+
+def returns_or_raises(decode, blobs, error):
+    """Each blob decodes or raises the decoder's documented error; any other
+    exception fails the calling test."""
+    for blob in blobs:
         try:
-            results[key] = fn()
-        except ChannelClosed:
-            results[key] = None
-        except Exception as exc:
-            results[key] = exc
-
-    t = threading.Thread(target=run, daemon=True)
-    t.start()
-    return t
-
-
-def run_certification_tcp(regulator, server, timeout=10.0):
-    """Certification over real sockets; exceptions come back as values."""
-    dealer_listener = open_listener("127.0.0.1", 0)
-    reg_listener = open_listener("127.0.0.1", 0)
-    d_port = dealer_listener.getsockname()[1]
-    r_port = reg_listener.getsockname()[1]
-    recorders = {}
-    results = {}
-
-    def record(name, chan):
-        recorders[name] = RecordingChannel(chan)
-        return recorders[name]
-
-    t_dealer = _capture(
-        results,
-        "session",
-        lambda: serve_dealer(
-            accept_channel(dealer_listener, timeout),
-            accept_channel(dealer_listener, timeout),
-        ),
-    )
-    t_server = _capture(
-        results,
-        "server",
-        lambda: server.serve_certification(
-            record("server_to_reg", connect_channel("127.0.0.1", r_port, timeout)),
-            lambda: record(
-                "server_to_dealer", connect_channel("127.0.0.1", d_port, timeout)
-            ),
-        ),
-    )
-    t_reg = _capture(
-        results,
-        "regulator",
-        lambda: regulator.certify(
-            lambda: record("reg_to_server", accept_channel(reg_listener, timeout)),
-            lambda: record(
-                "reg_to_dealer", connect_channel("127.0.0.1", d_port, timeout)
-            ),
-        ),
-    )
-    t_reg.join(timeout + 5)
-    # sockets drop in-flight frames on close, so let the peers drain first
-    t_server.join(timeout)
-    t_dealer.join(timeout)
-    for name in ("reg_to_server", "reg_to_dealer", "server_to_reg", "server_to_dealer"):
-        if name in recorders:
-            recorders[name].close()
-    dealer_listener.close()
-    reg_listener.close()
-    t_server.join(timeout + 5)
-    t_dealer.join(timeout + 5)
-    results["recorders"] = recorders
-    return results
-
-
-def run_inference_tcp(client, server, timeout=10.0):
-    """Inference over real sockets; exceptions come back as values."""
-    dealer_listener = open_listener("127.0.0.1", 0)
-    server_listener = open_listener("127.0.0.1", 0)
-    d_port = dealer_listener.getsockname()[1]
-    s_port = server_listener.getsockname()[1]
-    recorders = {}
-    results = {}
-
-    def record(name, chan):
-        recorders[name] = RecordingChannel(chan)
-        return recorders[name]
-
-    t_dealer = _capture(
-        results,
-        "session",
-        lambda: serve_dealer(
-            accept_channel(dealer_listener, timeout),
-            accept_channel(dealer_listener, timeout),
-        ),
-    )
-    t_server = _capture(
-        results,
-        "server",
-        lambda: server.serve_inference(
-            record("server_to_client", accept_channel(server_listener, timeout)),
-            lambda: record(
-                "server_to_dealer", connect_channel("127.0.0.1", d_port, timeout)
-            ),
-        ),
-    )
-    t_client = _capture(
-        results,
-        "client",
-        lambda: client.infer(
-            lambda: record(
-                "client_to_server", connect_channel("127.0.0.1", s_port, timeout)
-            ),
-            lambda: record(
-                "client_to_dealer", connect_channel("127.0.0.1", d_port, timeout)
-            ),
-        ),
-    )
-    t_client.join(timeout + 5)
-    # sockets drop in-flight frames on close, so let the peers drain first
-    t_server.join(timeout)
-    t_dealer.join(timeout)
-    for chan in recorders.values():
-        chan.close()
-    dealer_listener.close()
-    server_listener.close()
-    t_server.join(timeout + 5)
-    t_dealer.join(timeout + 5)
-    results["recorders"] = recorders
-    return results
+            decode(blob)
+        except error:
+            pass

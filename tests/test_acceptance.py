@@ -14,8 +14,7 @@ from conftest import (
     CHEAP_SPEC,
     KEY_SEED,
     certification_setup,
-    run_certification_tcp,
-    run_inference_tcp,
+    tcp_link,
 )
 
 from faircert import fixedpoint as fx
@@ -49,6 +48,7 @@ from faircert.protocol import (
     Client,
     Reject,
     Server,
+    channel_pair,
     run_certification_local,
     run_inference_local,
 )
@@ -209,100 +209,74 @@ def test_criterion_05_circuit_host_equivalence(capsys):
         )
 
 
-def _scenario_honest(transport) -> str | None:
+def _scenario_honest(link) -> str | None:
     regulator, server, _, model = certification_setup()
-    cert, _ = transport["certify"](regulator, server)
+    cert = run_certification_local(regulator, server, link=link).regulator_result
     if not isinstance(cert, Certificate):
         return f"expected a certificate, got {cert!r}"
     if not verify_certificate(regulator.keypair.verification_key, cert):
         return "issued certificate does not verify"
     features = (fx.ONE, 0, 0, 0)
     client = Client(features, regulator.keypair.verification_key, CHEAP_SPEC)
-    result = transport["infer"](client, server)
+    result = run_inference_local(client, server, link=link).client_result
     expected = predict(model, Sample(features, 0, 0))
     if result != AcceptedPrediction(label=expected, model_digest=cert.model_digest):
         return f"expected label {expected}, got {result!r}"
     return None
 
 
-def _certified_server(transport):
+def _certified_server(link):
     regulator, server, _, _ = certification_setup()
-    cert, _ = transport["certify"](regulator, server)
+    cert = run_certification_local(regulator, server, link=link).regulator_result
     assert isinstance(cert, Certificate)
     return regulator, server, cert
 
 
-def _scenario_tampered(transport) -> str | None:
-    regulator, server, cert = _certified_server(transport)
+def _scenario_tampered(link) -> str | None:
+    regulator, server, cert = _certified_server(link)
     swapped = Server(
         LinearModel(4, 2, ((1, 2, 3, 4), (4, 3, 2, 1)), (0, 0))
     )
     swapped.certificate = cert  # presents a certificate for the other model
     client = Client((0, 0, 0, 0), regulator.keypair.verification_key, CHEAP_SPEC)
-    result = transport["infer"](client, swapped)
+    result = run_inference_local(client, swapped, link=link).client_result
     if result != Reject(REASON_SIG_INVALID):
         return f"expected SIG_INVALID, got {result!r}"
     return None
 
 
-def _scenario_wrong_key(transport) -> str | None:
-    _, server, _ = _certified_server(transport)
+def _scenario_wrong_key(link) -> str | None:
+    _, server, _ = _certified_server(link)
     from faircert.crypto import keygen
 
     stranger = keygen(bytes(reversed(KEY_SEED)))
     client = Client((0, 0, 0, 0), stranger.verification_key, CHEAP_SPEC)
-    result = transport["infer"](client, server)
+    result = run_inference_local(client, server, link=link).client_result
     if result != Reject(REASON_SIG_INVALID):
         return f"expected SIG_INVALID, got {result!r}"
     return None
 
 
-def _scenario_spec_mismatch(transport) -> str | None:
-    regulator, server, _ = _certified_server(transport)
+def _scenario_spec_mismatch(link) -> str | None:
+    regulator, server, _ = _certified_server(link)
     demanded = FairnessSpec(
         metric=FairnessMetric.ORE, epsilon=Fraction(1, 10), delta=Fraction(1, 5)
     )
     client = Client((0, 0, 0, 0), regulator.keypair.verification_key, demanded)
-    result = transport["infer"](client, server)
+    result = run_inference_local(client, server, link=link).client_result
     if result != Reject(REASON_SPEC_MISMATCH):
         return f"expected SPEC_MISMATCH, got {result!r}"
     return None
 
 
-def _scenario_undersampled(transport) -> str | None:
+def _scenario_undersampled(link) -> str | None:
     regulator, server, _, _ = certification_setup(group_counts=(10, 10))
-    result, recorders = transport["certify_short"](regulator, server)
-    if result != CertFailure(REASON_PRECHECK_FAILED):
-        return f"expected PRECHECK_FAILED, got {result!r}"
-    to_server = recorders.get("reg_to_server")
-    if to_server is not None and to_server.sent != []:
+    run = run_certification_local(regulator, server, link=link)
+    if run.regulator_result != CertFailure(REASON_PRECHECK_FAILED):
+        return f"expected PRECHECK_FAILED, got {run.regulator_result!r}"
+    if run.recorders["reg_to_server"].sent != []:
         return "regulator contacted the server despite the failed precheck"
     return None
-
-
-LOCAL_TRANSPORT = {
-    "certify": lambda r, s: (
-        (run := run_certification_local(r, s)).regulator_result,
-        run.recorders,
-    ),
-    "certify_short": lambda r, s: (
-        (run := run_certification_local(r, s, timeout=1.0)).regulator_result,
-        run.recorders,
-    ),
-    "infer": lambda c, s: run_inference_local(c, s).client_result,
-}
-
-TCP_TRANSPORT = {
-    "certify": lambda r, s: (
-        (res := run_certification_tcp(r, s))["regulator"],
-        res["recorders"],
-    ),
-    "certify_short": lambda r, s: (
-        (res := run_certification_tcp(r, s, timeout=1.0))["regulator"],
-        res["recorders"],
-    ),
-    "infer": lambda c, s: run_inference_tcp(c, s)["client"],
-}
 
 
 def test_criterion_06_protocol_scenarios(capsys):
@@ -315,9 +289,9 @@ def test_criterion_06_protocol_scenarios(capsys):
         ("undersampled", _scenario_undersampled),
     ]
     failures = []
-    for transport_name, transport in (("local", LOCAL_TRANSPORT), ("tcp", TCP_TRANSPORT)):
+    for transport_name, link in (("local", channel_pair), ("tcp", tcp_link)):
         for name, fn in scenarios:
-            problem = fn(transport)
+            problem = fn(link)
             if problem is not None:
                 failures.append(f"{name}/{transport_name}: {problem}")
     elapsed = time.monotonic() - start

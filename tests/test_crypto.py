@@ -3,6 +3,7 @@ import struct
 from fractions import Fraction
 
 import pytest
+from conftest import mutated, returns_or_raises, specs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -263,6 +264,13 @@ def test_certificate_from_bytes_rejects_malformed():
         Certificate.from_bytes(data + b"\x00")
     with pytest.raises(MalformedCertificateError):
         Certificate.from_bytes(b"WRONG" + data[5:])
+
+
+@given(specs(), st.binary(min_size=32, max_size=32), st.binary(max_size=80), st.data())
+def test_certificate_from_bytes_raises_only_malformed_certificate(spec, digest, noise, data):
+    blob = Certificate(digest, spec, digest, bytes(64)).to_bytes()
+    blobs = (noise, mutated(data, blob))
+    returns_or_raises(Certificate.from_bytes, blobs, MalformedCertificateError)
 
 
 def test_tampered_signature_bit_fails():

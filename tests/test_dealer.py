@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import mutated, returns_or_raises
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -152,31 +153,14 @@ def bundles(draw):
     return encode_test_bundle(spec, Dataset(dim, groups, labels, samples), aug)
 
 
-def _decodes_or_malformed(data):
-    try:
-        decode_test_bundle(data)
-    except MalformedDatasetError:
-        pass
-
-
 @given(st.binary(max_size=200))
 def test_bundle_decode_arbitrary_bytes(data):
-    _decodes_or_malformed(data)
+    returns_or_raises(decode_test_bundle, (data,), MalformedDatasetError)
 
 
 @given(bundles(), st.data())
 def test_bundle_decode_mutated_bytes(bundle, data):
-    mutated = bytearray(bundle)
-    for _ in range(data.draw(st.integers(1, 4))):
-        action = data.draw(st.sampled_from(("flip", "cut", "append")))
-        if action == "flip" and mutated:
-            i = data.draw(st.integers(0, len(mutated) - 1))
-            mutated[i] ^= data.draw(st.integers(1, 255))
-        elif action == "cut":
-            del mutated[data.draw(st.integers(0, len(mutated))) :]
-        else:
-            mutated += data.draw(st.binary(min_size=1, max_size=8))
-    _decodes_or_malformed(bytes(mutated))
+    returns_or_raises(decode_test_bundle, (mutated(data, bundle),), MalformedDatasetError)
 
 
 def test_query_round_trip():
@@ -186,6 +170,13 @@ def test_query_round_trip():
         decode_query(b"\x01")
     with pytest.raises(ValueError):
         decode_query(encode_query(features) + b"\x00")
+
+
+@given(st.lists(st.integers(-(2**31), 2**31 - 1), max_size=8), st.binary(max_size=40),
+       st.data())
+def test_query_decode_raises_only_value_error(features, noise, data):
+    blob = encode_query(tuple(features))
+    returns_or_raises(decode_query, (noise, mutated(data, blob)), ValueError)
 
 
 # --- division-free decision route ---------------------------------------------

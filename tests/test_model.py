@@ -3,6 +3,7 @@ import struct
 from fractions import Fraction
 
 import pytest
+from conftest import mutated, returns_or_raises
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -168,6 +169,13 @@ def test_model_round_trip(model):
     assert deserialize_model(serialize_model(model)) == model
 
 
+@given(st.one_of(linear_models(), lookup_models(), biased_models()), st.binary(max_size=80),
+       st.data())
+def test_deserialize_raises_only_malformed_model(model, noise, data):
+    blob = serialize_model(model)
+    returns_or_raises(deserialize_model, (noise, mutated(data, blob)), MalformedModelError)
+
+
 def test_deserialize_rejects_malformed():
     good = serialize_model(golden_linear())
     with pytest.raises(MalformedModelError):
@@ -238,34 +246,17 @@ def test_dataset_decode_rejects_malformed():
         decode_dataset(b"XXXXX" + data[5:])
 
 
-def _decodes_or_malformed(data):
-    try:
-        decode_dataset(data)
-    except MalformedDatasetError:
-        pass
-
-
 @given(st.binary(max_size=120))
 def test_dataset_decode_arbitrary_bytes(data):
-    _decodes_or_malformed(DATASET_MAGIC + data)
-    _decodes_or_malformed(data)
+    returns_or_raises(decode_dataset, (DATASET_MAGIC + data, data), MalformedDatasetError)
 
 
-@given(datasets(), st.data())
-def test_dataset_decode_mutated_bytes(dataset, data):
-    mutated = bytearray(encode_dataset(dataset))
-    for _ in range(data.draw(st.integers(1, 4))):
-        action = data.draw(st.sampled_from(("flip", "cut", "append", "count")))
-        if action == "flip" and mutated:
-            i = data.draw(st.integers(0, len(mutated) - 1))
-            mutated[i] ^= data.draw(st.integers(1, 255))
-        elif action == "cut":
-            del mutated[data.draw(st.integers(0, len(mutated))) :]
-        elif action == "append":
-            mutated += data.draw(st.binary(min_size=1, max_size=8))
-        elif len(mutated) >= 21:
-            mutated[17:21] = data.draw(st.integers(0, 2**32 - 1)).to_bytes(4, "little")
-    _decodes_or_malformed(bytes(mutated))
+@given(datasets(), st.integers(0, 2**32 - 1), st.data())
+def test_dataset_decode_mutated_bytes(dataset, count, data):
+    blob = encode_dataset(dataset)
+    recounted = blob[:17] + count.to_bytes(4, "little") + blob[21:]
+    blobs = (mutated(data, blob), recounted, mutated(data, recounted))
+    returns_or_raises(decode_dataset, blobs, MalformedDatasetError)
 
 
 def test_dataset_decode_checks_count_before_parsing():

@@ -1,5 +1,6 @@
 import socket
 import struct
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,10 @@ from conftest import (
     CHEAP_SPEC,
     KEY_SEED,
     certification_setup,
-    run_certification_tcp,
-    run_inference_tcp,
+    mutated,
+    returns_or_raises,
+    specs,
+    tcp_link,
 )
 from hypothesis import given
 from hypothesis import strategies as st
@@ -60,9 +63,16 @@ from faircert.protocol import (
     receive_key,
     run_certification_local,
     run_inference_local,
+    serve_dealer,
 )
 
 import hashlib
+
+LINKS = (channel_pair, tcp_link)
+AUG = AugmentorConfig(master_seed=b"\x77" * 8, noise_sigma=fx.ONE // 100, invoke_prob=Fraction(1))
+AUG_SPEC = FairnessSpec(
+    metric=FairnessMetric.ORE, epsilon=Fraction(1, 2), delta=Fraction(1, 5), alpha=Fraction(1, 2)
+)
 
 
 # --- framing -----------------------------------------------------------------
@@ -82,6 +92,13 @@ def test_frame_rejects_malformed():
     good = Frame(FRAME_HELLO, b"abc").encode()
     with pytest.raises(ProtocolError):
         decode_frame(good + b"\x00")  # length field now wrong
+
+
+@given(st.sampled_from(range(0x01, 0x0C)), st.binary(max_size=60), st.data())
+def test_frame_decode_raises_only_protocol_error(ftype, payload, data):
+    # the payload alone doubles as random bytes
+    blob = Frame(ftype, payload).encode()
+    returns_or_raises(decode_frame, (payload, mutated(data, blob)), ProtocolError)
 
 
 def test_oversized_frame_refused_alike_on_both_transports():
@@ -191,19 +208,19 @@ def test_cert_request_rejects_malformed():
         decode_cert_request(bad_mode)
 
 
+@given(specs(), st.integers(0, 2**32 - 1), st.booleans(), st.binary(max_size=60), st.data())
+def test_cert_request_decode_raises_only_protocol_error(spec, total, augmented, noise, data):
+    blob = encode_cert_request(spec, total, bytes(range(16)) if augmented else None)
+    returns_or_raises(decode_cert_request, (noise, mutated(data, blob)), ProtocolError)
+
+
 # --- regulator construction ------------------------------------------------------------
 
 
 def test_regulator_mode_config_consistency():
     _, _, dataset, _ = certification_setup()
-    augmented_spec = FairnessSpec(
-        metric=FairnessMetric.ORE,
-        epsilon=Fraction(1, 2),
-        delta=Fraction(1, 5),
-        alpha=Fraction(1, 2),
-    )
     with pytest.raises(ValueError):
-        Regulator(keygen(KEY_SEED), dataset, augmented_spec, None)
+        Regulator(keygen(KEY_SEED), dataset, AUG_SPEC, None)
     with pytest.raises(ValueError):
         Regulator(
             keygen(KEY_SEED),
@@ -228,15 +245,16 @@ def test_required_counts_eo_uses_cells():
 
 
 def test_honest_certification_issues_certificate():
-    regulator, server, _, model = certification_setup()
-    run = run_certification_local(regulator, server)
-    cert = run.regulator_result
-    assert isinstance(cert, Certificate)
-    assert run.server_result == cert
-    assert server.certificate == cert
-    assert cert.model_digest == merkle_root(serialize_model(model))
-    assert verify_certificate(regulator.keypair.verification_key, cert)
-    assert run.session is not None and run.session.abort_reason is None
+    for link in LINKS:
+        regulator, server, _, model = certification_setup()
+        run = run_certification_local(regulator, server, link=link)
+        cert = run.regulator_result
+        assert isinstance(cert, Certificate)
+        assert run.server_result == cert
+        assert server.certificate == cert
+        assert cert.model_digest == merkle_root(serialize_model(model))
+        assert verify_certificate(regulator.keypair.verification_key, cert)
+        assert run.session is not None and run.session.abort_reason is None
 
 
 def test_unfair_model_rejected():
@@ -274,26 +292,20 @@ def test_dimension_mismatch_aborts_via_dealer():
 def test_wrapper_with_too_few_flip_rates_aborts_both_parties():
     regulator, _, _, model = certification_setup()
     one_rate = Server(BiasedModel(model.inner, (Fraction(1, 10),), model.seed))
-    run = run_certification_local(regulator, one_rate)
-    assert run.regulator_result == CertFailure(REASON_FSC_ABORT)
-    assert run.server_result == CertFailure(REASON_FSC_ABORT)
-    assert run.session.abort_reason == "GROUP_MISMATCH"
-    results = run_certification_tcp(regulator, one_rate)
-    assert results["regulator"] == results["server"] == CertFailure(REASON_FSC_ABORT)
-    assert results["session"].abort_reason == "GROUP_MISMATCH"
+    for link in LINKS:
+        run = run_certification_local(regulator, one_rate, link=link)
+        assert run.regulator_result == run.server_result == CertFailure(REASON_FSC_ABORT)
+        assert run.session.abort_reason == "GROUP_MISMATCH"
 
 
 def test_model_with_more_labels_than_the_bundle_aborts_both_parties():
     regulator, _, _, model = certification_setup()
     dim = model.dimension
     three_labels = Server(LinearModel(dim, 3, ((0,) * dim,) * 3, (0, 0, 1)))
-    run = run_certification_local(regulator, three_labels)
-    assert run.regulator_result == CertFailure(REASON_FSC_ABORT)
-    assert run.server_result == CertFailure(REASON_FSC_ABORT)
-    assert run.session.abort_reason == "LABEL_MISMATCH"
-    results = run_certification_tcp(regulator, three_labels)
-    assert results["regulator"] == results["server"] == CertFailure(REASON_FSC_ABORT)
-    assert results["session"].abort_reason == "LABEL_MISMATCH"
+    for link in LINKS:
+        run = run_certification_local(regulator, three_labels, link=link)
+        assert run.regulator_result == run.server_result == CertFailure(REASON_FSC_ABORT)
+        assert run.session.abort_reason == "LABEL_MISMATCH"
 
 
 def _count_calls(monkeypatch, module, name):
@@ -320,18 +332,7 @@ def test_bundle_encoded_once_and_parsed_once_per_session(monkeypatch):
 
 
 def test_augmented_commit_reveal():
-    aug = AugmentorConfig(
-        master_seed=b"\x77" * 8,
-        noise_sigma=fx.ONE // 100,
-        invoke_prob=Fraction(1),
-    )
-    augmented_spec = FairnessSpec(
-        metric=FairnessMetric.ORE,
-        epsilon=Fraction(1, 2),
-        delta=Fraction(1, 5),
-        alpha=Fraction(1, 2),
-    )
-    regulator, server, _, model = certification_setup(spec=augmented_spec, aug=aug)
+    regulator, server, _, model = certification_setup(spec=AUG_SPEC, aug=AUG)
     run = run_certification_local(regulator, server)
     cert = run.regulator_result
     assert isinstance(cert, Certificate)
@@ -374,9 +375,9 @@ def test_model_bytes_never_reach_the_regulator():
 
 def test_certification_wire_determinism():
     transcripts = []
-    for _ in range(2):
+    for link in LINKS:  # the same bytes on both transports
         regulator, server, _, _ = certification_setup()
-        run = run_certification_local(regulator, server)
+        run = run_certification_local(regulator, server, link=link)
         assert isinstance(run.regulator_result, Certificate)
         transcripts.append(
             {k: rec.wire_transcript() for k, rec in run.recorders.items()}
@@ -418,12 +419,13 @@ def test_honest_inference_accepts():
     server, model, pair = linear_server()
     features = (fx.ONE // 4, 2 * fx.ONE, -3 * fx.ONE)
     client = Client(features, pair.verification_key, CHEAP_SPEC)
-    run = run_inference_local(client, server)
-    result = run.client_result
-    assert isinstance(result, AcceptedPrediction)
-    assert result.label == predict(model, Sample(features, 0, 0)) == 1
-    assert result.model_digest == merkle_root(server.model_bytes)
-    assert run.server_result is None  # clean close, no rejection
+    for link in LINKS:
+        run = run_inference_local(client, server, link=link)
+        result = run.client_result
+        assert isinstance(result, AcceptedPrediction)
+        assert result.label == predict(model, Sample(features, 0, 0)) == 1
+        assert result.model_digest == merkle_root(server.model_bytes)
+        assert run.server_result is None  # clean close, no rejection
 
 
 def test_tampered_weights_detected():
@@ -500,63 +502,88 @@ def test_inference_aborts_propagate():
     assert run.session.abort_reason == "DIMENSION_MISMATCH"
 
 
-class _DealerFault(RuntimeError):
+class _PartyFault(RuntimeError):
     pass
 
 
 def _fail(*args):
-    raise _DealerFault("dealer fault")
+    raise _PartyFault("party fault")
+
+
+def _raises_promptly(run):
+    """With the default 30 s timeout, the harness raises the failing party's
+    own exception on both links, well before any peer could time out."""
+    for link in LINKS:
+        start = time.monotonic()
+        with pytest.raises(_PartyFault):
+            run(link)
+        assert time.monotonic() - start < 2.0
 
 
 def test_certification_harness_reraises_the_dealer_failure(monkeypatch):
     monkeypatch.setattr(dealer, "augment_dataset", _fail)
-    aug = AugmentorConfig(master_seed=b"\x77" * 8, noise_sigma=fx.ONE // 100)
-    spec = FairnessSpec(
-        metric=FairnessMetric.ORE,
-        epsilon=Fraction(1, 2),
-        delta=Fraction(1, 5),
-        alpha=Fraction(1, 2),
-    )
-    regulator, server, _, _ = certification_setup(spec=spec, aug=aug)
-    with pytest.raises(_DealerFault):
-        run_certification_local(regulator, server, timeout=1.0)
+    regulator, server, _, _ = certification_setup(spec=AUG_SPEC, aug=AUG)
+    _raises_promptly(lambda link: run_certification_local(regulator, server, link=link))
 
 
 def test_inference_harness_reraises_the_dealer_failure(monkeypatch):
     monkeypatch.setattr(dealer, "deserialize_model", _fail)
     server, _, pair = linear_server()
     client = Client((0, fx.ONE, 0), pair.verification_key, CHEAP_SPEC)
-    with pytest.raises(_DealerFault):
-        run_inference_local(client, server, timeout=1.0)
+    _raises_promptly(lambda link: run_inference_local(client, server, link=link))
+
+
+def test_harness_reraises_the_server_failure(monkeypatch):
+    monkeypatch.setattr(protocol, "decode_cert_request", _fail)
+    regulator, server, _, _ = certification_setup()
+    _raises_promptly(lambda link: run_certification_local(regulator, server, link=link))
+
+
+# --- the dealer endpoint -----------------------------------------------------------------
+
+
+def test_serve_dealer_takes_the_checker_channel_first(monkeypatch):
+    def swapped(server_end, checker_end):
+        return serve_dealer(checker_end, server_end)
+
+    monkeypatch.setattr(protocol, "serve_dealer", swapped)
+    test_honest_certification_issues_certificate()
+    test_honest_inference_accepts()
+
+
+def test_serve_dealer_refuses_two_channels_of_one_party():
+    (first, dealer_a), (second, dealer_b) = channel_pair(1.0), channel_pair(1.0)
+    hello = Frame(FRAME_HELLO, struct.pack("<BH", ROLE_SERVER, PROTOCOL_VERSION))
+    first.send_frame(hello)
+    second.send_frame(hello)
+    with pytest.raises(ProtocolError):
+        serve_dealer(dealer_a, dealer_b)
 
 
 # --- TCP transport ---------------------------------------------------------------------
 
 
-def test_certification_over_tcp():
-    regulator, server, _, model = certification_setup()
-    results = run_certification_tcp(regulator, server)
-    cert = results["regulator"]
-    assert isinstance(cert, Certificate)
-    assert results["server"] == cert
-    assert cert.model_digest == merkle_root(serialize_model(model))
-
-
-def test_inference_over_tcp():
-    server, model, pair = linear_server()
-    features = (0, fx.ONE, 0)
-    client = Client(features, pair.verification_key, CHEAP_SPEC)
-    results = run_inference_tcp(client, server)
-    assert results["client"] == AcceptedPrediction(
-        label=predict(model, Sample(features, 0, 0)),
-        model_digest=merkle_root(server.model_bytes),
-    )
-    assert results["server"] is None
-
-
-def test_tcp_and_local_transcripts_match():
-    regulator, server, _, _ = certification_setup()
-    local = run_certification_local(regulator, server)
-    regulator2, server2, _, _ = certification_setup()
-    tcp = run_certification_tcp(regulator2, server2)
-    assert local.session.transcript_lines() == tcp["session"].transcript_lines()
+def test_tcp_sessions_keep_every_frame_ahead_of_the_close():
+    # Each party closes its sockets once its own call returns, so a frame
+    # lost to an early close would show here as a None outcome or a timeout.
+    regulator, fair, _, _ = certification_setup()
+    undersampled, _, _, _ = certification_setup(group_counts=(10, 10))
+    wrong_shape = Server(LinearModel(2, 2, ((1, 2), (3, 4)), (0, 0)))
+    server, _, pair = linear_server()
+    query = Client((0, fx.ONE, 0), pair.verification_key, CHEAP_SPEC)
+    wrong_dim = Client((fx.ONE,), pair.verification_key, CHEAP_SPEC)
+    abort = CertFailure(REASON_FSC_ABORT)
+    for _ in range(50):
+        run = run_certification_local(regulator, fair, link=tcp_link)
+        assert isinstance(run.regulator_result, Certificate)
+        assert run.server_result == run.regulator_result
+        run = run_certification_local(regulator, wrong_shape, link=tcp_link)
+        assert run.regulator_result == run.server_result == abort
+        run = run_certification_local(undersampled, fair, link=tcp_link)
+        assert run.regulator_result == CertFailure(REASON_PRECHECK_FAILED)
+        assert run.server_result is None and run.session is None
+        run = run_inference_local(query, server, link=tcp_link)
+        assert isinstance(run.client_result, AcceptedPrediction)
+        assert run.server_result is None
+        run = run_inference_local(wrong_dim, server, link=tcp_link)
+        assert run.client_result == run.server_result == Reject(REASON_FSC_ABORT)
