@@ -244,17 +244,24 @@ def test_required_counts_eo_uses_cells():
 # --- in-process certification flows ------------------------------------------------------
 
 
+def _honest_certification(link):
+    regulator, server, _, model = certification_setup()
+    run = run_certification_local(regulator, server, link=link)
+    cert = run.regulator_result
+    assert isinstance(cert, Certificate)
+    assert run.server_result == cert
+    assert server.certificate == cert
+    assert cert.model_digest == merkle_root(serialize_model(model))
+    assert verify_certificate(regulator.keypair.verification_key, cert)
+    assert run.session is not None and run.session.abort_reason is None
+
+
 def test_honest_certification_issues_certificate():
-    for link in LINKS:
-        regulator, server, _, model = certification_setup()
-        run = run_certification_local(regulator, server, link=link)
-        cert = run.regulator_result
-        assert isinstance(cert, Certificate)
-        assert run.server_result == cert
-        assert server.certificate == cert
-        assert cert.model_digest == merkle_root(serialize_model(model))
-        assert verify_certificate(regulator.keypair.verification_key, cert)
-        assert run.session is not None and run.session.abort_reason is None
+    _honest_certification(channel_pair)
+
+
+def test_certification_over_tcp():
+    _honest_certification(tcp_link)
 
 
 def test_unfair_model_rejected():
@@ -373,22 +380,28 @@ def test_model_bytes_never_reach_the_regulator():
     assert model_bytes in dealer_leg  # it went to the dealer and nowhere else
 
 
-def test_certification_wire_determinism():
-    transcripts = []
-    for link in LINKS:  # the same bytes on both transports
+def _wire_and_session_transcripts(links):
+    wires, lines = [], []
+    for link in links:
         regulator, server, _, _ = certification_setup()
         run = run_certification_local(regulator, server, link=link)
         assert isinstance(run.regulator_result, Certificate)
-        transcripts.append(
-            {k: rec.wire_transcript() for k, rec in run.recorders.items()}
-        )
-        lines = run.session.transcript_lines()
-    assert transcripts[0] == transcripts[1]
-    assert len(transcripts[0]["reg_to_dealer"]) > 0
+        wires.append({k: rec.wire_transcript() for k, rec in run.recorders.items()})
+        lines.append(run.session.transcript_lines())
+    assert len(wires[0]["reg_to_dealer"]) > 0
+    return wires, lines
 
-    rerun_regulator, rerun_server, _, _ = certification_setup()
-    rerun = run_certification_local(rerun_regulator, rerun_server)
-    assert rerun.session.transcript_lines() == lines
+
+def test_certification_wire_determinism():
+    wires, lines = _wire_and_session_transcripts((channel_pair, channel_pair))
+    assert wires[0] == wires[1]
+    assert lines[0] == lines[1]
+
+
+def test_tcp_and_local_transcripts_match():
+    wires, lines = _wire_and_session_transcripts((channel_pair, tcp_link))
+    assert wires[0] == wires[1]
+    assert lines[0] == lines[1]
 
 
 def test_completeness_across_seeds():
@@ -415,17 +428,24 @@ def linear_server(certify_with=None, spec=CHEAP_SPEC):
     return server, model, pair
 
 
-def test_honest_inference_accepts():
+def _honest_inference(link):
     server, model, pair = linear_server()
     features = (fx.ONE // 4, 2 * fx.ONE, -3 * fx.ONE)
     client = Client(features, pair.verification_key, CHEAP_SPEC)
-    for link in LINKS:
-        run = run_inference_local(client, server, link=link)
-        result = run.client_result
-        assert isinstance(result, AcceptedPrediction)
-        assert result.label == predict(model, Sample(features, 0, 0)) == 1
-        assert result.model_digest == merkle_root(server.model_bytes)
-        assert run.server_result is None  # clean close, no rejection
+    run = run_inference_local(client, server, link=link)
+    result = run.client_result
+    assert isinstance(result, AcceptedPrediction)
+    assert result.label == predict(model, Sample(features, 0, 0)) == 1
+    assert result.model_digest == merkle_root(server.model_bytes)
+    assert run.server_result is None  # clean close, no rejection
+
+
+def test_honest_inference_accepts():
+    _honest_inference(channel_pair)
+
+
+def test_inference_over_tcp():
+    _honest_inference(tcp_link)
 
 
 def test_tampered_weights_detected():
@@ -547,8 +567,9 @@ def test_serve_dealer_takes_the_checker_channel_first(monkeypatch):
         return serve_dealer(checker_end, server_end)
 
     monkeypatch.setattr(protocol, "serve_dealer", swapped)
-    test_honest_certification_issues_certificate()
-    test_honest_inference_accepts()
+    for link in LINKS:
+        _honest_certification(link)
+        _honest_inference(link)
 
 
 def test_serve_dealer_refuses_two_channels_of_one_party():
