@@ -15,11 +15,15 @@ gap test |err0*m1 - err1*m0| * 10**6 < threshold_micro * m0 * m1 per
 comparable pair, never forming a quotient. The inference circuit returns
 the model's label for one query plus the Merkle digest of the model bytes
 actually used, which is what lets the client check the certificate
-afterwards.
+afterwards. Both circuits take that digest from one bounded memo keyed by
+the exact model bytes (at most four of them), so a server answering query
+after query pays for its root once. The memo holds only roots: the parsed
+model and its compiled kernel are rebuilt each session.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -183,6 +187,19 @@ def _parse_model(model_bytes: bytes) -> ModelSpec:
         raise SessionAbort(ABORT_MALFORMED_MODEL) from None
 
 
+@functools.lru_cache(maxsize=4)
+def _model_digest(model_bytes: bytes) -> bytes:
+    """Merkle root of the exact model bytes a circuit evaluated.
+
+    A server answering queries sends the same bytes every session, and the
+    root is most of an inference's cost, so the last few roots are kept,
+    keyed by the bytes themselves: equal bytes give an equal root, so no
+    output changes. merkle_root is looked up at call time, so a wrapper
+    installed on this module's name sees every miss.
+    """
+    return merkle_root(model_bytes)
+
+
 def _cert_suitability(model_bytes: bytes, bundle_bytes: bytes) -> _CertInputs:
     if len(model_bytes) < 15:
         raise SessionAbort(ABORT_SIZE_MISMATCH)
@@ -211,10 +228,9 @@ def _cert_evaluate(model_bytes: bytes, inputs: _CertInputs) -> tuple[_Parts, _Pa
         fair = certification_decision(inputs.spec, table)
     except EmptyCellError:
         raise SessionAbort(ABORT_EMPTY_CELL) from None
-    digest = merkle_root(model_bytes)
     checker: _Parts = [
         ("fair_bit", b"\x01" if fair else b"\x00"),
-        ("model_digest", digest),
+        ("model_digest", _model_digest(model_bytes)),
     ]
     return [], checker
 
@@ -256,10 +272,9 @@ def _infer_evaluate(
     # A query carries no group; a wrapper model served for inference flips
     # by its first group's rate. Deployed models are linear or lookup.
     label = predict(model, Sample(features=tuple(features), group=0, label=0))
-    digest = merkle_root(model_bytes)
     checker: _Parts = [
         ("prediction", struct.pack("<H", label)),
-        ("model_digest", digest),
+        ("model_digest", _model_digest(model_bytes)),
     ]
     return [], checker
 

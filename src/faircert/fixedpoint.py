@@ -33,10 +33,6 @@ def from_float(x: float) -> int:
     return saturate(int(round(x * ONE)))
 
 
-def from_int(n: int) -> int:
-    return saturate(n * ONE)
-
-
 def to_float(raw: int) -> float:
     return raw / ONE
 

@@ -22,11 +22,11 @@ from faircert.augmentor import AugmentorConfig, augment_dataset
 from faircert.cli import main
 from faircert.crypto import Certificate, merkle_root, verify_certificate
 from faircert.dealer import certification_decision, estimate_gates
+from faircert.experiments import pass_rate, run_coverage
 from faircert.fairness import (
     FairnessMetric,
     FairnessSpec,
     GroupRiskTable,
-    build_risk_table,
     decide,
     min_samples,
 )
@@ -38,7 +38,7 @@ from faircert.model import (
     predict,
     serialize_model,
 )
-from faircert.prg import CounterPrg, derive_key
+from faircert.prg import CounterPrg
 from faircert.protocol import (
     REASON_PRECHECK_FAILED,
     REASON_SIG_INVALID,
@@ -109,24 +109,16 @@ SOUNDNESS_SPEC = FairnessSpec(
 DEMANDED_SIZE = min_samples(SOUNDNESS_SPEC, Fraction(0), 2, 2)  # 1016 per group
 
 
-def _planted_trial(rates, master: bytes, index: int) -> bool:
-    config = PlantedConfig(
-        cell_weights=QUARTER,
-        error_rates=rates,
-        seed=derive_key(master, f"trial-{index}"),
-    )
-    dataset, model, _ = generate_planted(
-        config, 0, group_counts=(DEMANDED_SIZE, DEMANDED_SIZE)
-    )
-    predictions = [predict(model, s) for s in dataset.samples]
-    return decide(SOUNDNESS_SPEC, build_risk_table(dataset, predictions)).passed
-
-
 def test_criterion_03_soundness_on_unfair_plant(capsys):
     start = time.monotonic()
     rates = (Fraction(1, 20), Fraction(1, 5))  # true ORE gap 0.15 = eps + 0.05
-    certified = sum(_planted_trial(rates, b"\x03" * 8, i) for i in range(500))
-    rate = certified / 500
+    results = run_coverage(
+        PlantedConfig(QUARTER, rates, seed=b"\x03" * 8),
+        SOUNDNESS_SPEC,
+        500,
+        group_counts=(DEMANDED_SIZE, DEMANDED_SIZE),
+    )
+    rate = float(pass_rate(results))
     tolerance = 0.05 + 3 * (0.05 * 0.95 / 500) ** 0.5
     elapsed = time.monotonic() - start
     with capsys.disabled():
@@ -142,8 +134,13 @@ def test_criterion_03_soundness_on_unfair_plant(capsys):
 def test_criterion_04_completeness_on_fair_plant(capsys):
     start = time.monotonic()
     rates = (Fraction(0), Fraction(0))
-    certified = sum(_planted_trial(rates, b"\x04" * 8, i) for i in range(500))
-    rate = certified / 500
+    results = run_coverage(
+        PlantedConfig(QUARTER, rates, seed=b"\x04" * 8),
+        SOUNDNESS_SPEC,
+        500,
+        group_counts=(DEMANDED_SIZE, DEMANDED_SIZE),
+    )
+    rate = float(pass_rate(results))
     elapsed = time.monotonic() - start
     with capsys.disabled():
         report(
@@ -379,12 +376,9 @@ def test_criterion_09_augmentor_laws(capsys):
     )
     problems = []
     out = augment_dataset(aug, dataset)
-    if len(out.samples) != len(dataset.samples):
+    if len(out.groups) != len(dataset.groups):
         problems.append("length changed")
-    if any(
-        (a.group, a.label) != (b.group, b.label)
-        for a, b in zip(dataset.samples, out.samples)
-    ):
+    if (out.groups, out.labels) != (dataset.groups, dataset.labels):
         problems.append("a group or label changed")
     if augment_dataset(aug, dataset) != out:
         problems.append("same seed, different output")

@@ -513,6 +513,50 @@ def test_inference_parses_the_model_once(monkeypatch):
     assert len(parses) == 1
 
 
+def _certified(server, pair):
+    server.certificate = issue_certificate(pair, merkle_root(server.model_bytes), CHEAP_SPEC)
+    return server
+
+
+def test_inference_roots_each_model_once_keyed_by_its_exact_bytes(monkeypatch):
+    roots = _count_calls(monkeypatch, dealer, "merkle_root")
+    pair = keygen(KEY_SEED)
+    weights = ((fx.ONE, 0, 0), (0, fx.ONE, 0))
+    base, one_byte_off, other = (
+        _certified(Server(model), pair)
+        for model in (
+            LinearModel(3, 2, weights, (0, 0)),
+            LinearModel(3, 2, weights, (0, 1)),
+            LinearModel(3, 2, ((1, 1, 1), (2, 2, 2)), (0, 0)),
+        )
+    )
+    assert len(one_byte_off.model_bytes) == len(base.model_bytes)
+    assert sum(a != b for a, b in zip(base.model_bytes, one_byte_off.model_bytes)) == 1
+    client = Client((0, fx.ONE, 0), pair.verification_key, CHEAP_SPEC)
+    for link in LINKS:
+        dealer._model_digest.cache_clear()
+        roots.clear()
+        for _ in range(3):
+            for server in (base, other, one_byte_off):
+                result = run_inference_local(client, server, link=link).client_result
+                assert isinstance(result, AcceptedPrediction)
+                assert result.model_digest == merkle_root(server.model_bytes)
+        assert len(roots) == 3  # one per model; every later session hits the memo
+
+
+def test_malformed_model_aborts_every_time():
+    pair = keygen(KEY_SEED)
+    server = Server(LinearModel(3, 2, ((1, 1, 1), (2, 2, 2)), (0, 0)))
+    server.model_bytes = b"NOTRIGHT" + bytes(32)
+    _certified(server, pair)
+    client = Client((0, 0, 0), pair.verification_key, CHEAP_SPEC)
+    for link in LINKS:
+        for _ in range(2):
+            run = run_inference_local(client, server, link=link)
+            assert run.client_result == Reject(REASON_FSC_ABORT)
+            assert run.session.abort_reason == "MALFORMED_MODEL"
+
+
 def test_inference_aborts_propagate():
     server, _, pair = linear_server()
     client = Client((fx.ONE,), pair.verification_key, CHEAP_SPEC)  # wrong dim
