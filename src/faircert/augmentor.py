@@ -18,7 +18,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, log, pi, sin, sqrt
-from typing import Sequence
+from typing import Iterable
 
 from . import fixedpoint as fx
 from . import prg
@@ -102,7 +102,7 @@ class AugmentorConfig:
 
 
 def _augment_rows(
-    config: AugmentorConfig, rows: Sequence[tuple[int, ...]], first: int
+    config: AugmentorConfig, rows: Iterable[tuple[int, ...]], first: int
 ) -> list[tuple[int, ...]]:
     """The augmented feature rows; row i is transformed with sample index
     first + i. A row left alone is passed through as the same tuple.
@@ -165,13 +165,15 @@ def augment(config: AugmentorConfig, sample: Sample, index: int) -> Sample:
 
 def augment_dataset(config: AugmentorConfig, dataset: Dataset) -> Dataset:
     """Apply augment() positionally; index i transforms sample i, on the
-    columns: no Sample is built."""
+    columns: no Sample is built. The rows are read in one pass, so a
+    decoded set's records are unpacked as they go and the input keeps no
+    rows; the result is a rows-form set."""
     # Every augmented coordinate is saturated and the dimension is kept.
     return Dataset.from_columns(
         dataset.dimension,
         dataset.num_groups,
         dataset.num_labels,
-        _augment_rows(config, dataset.features, 0),
+        _augment_rows(config, dataset._rows, 0),
         dataset.groups,
         dataset.labels,
     )

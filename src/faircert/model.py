@@ -7,6 +7,10 @@ Three architectures exist: an argmax-of-affine-scores classifier, a lookup
 table over the first feature's integer part, and a wrapper that flips the
 inner model's prediction per group at a configured rate (the vehicle for
 planting a known fairness gap).
+
+A Dataset decoded from the wire keeps its packed records, about 4 + 4d
+bytes per sample, and the batch kernel and the augmentor unpack its rows as
+they read them; the Dataset docstring has the two forms.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat
-from operator import itemgetter, mul, rshift
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from itertools import accumulate, chain, compress, repeat, starmap, tee
+from operator import eq, itemgetter, mul, rshift
+from typing import Callable, Collection, Iterable, Iterator, Sequence, Union
 
 from . import fixedpoint as fx
 from .fairness import IdOutOfRangeError, micro_fraction, to_micro
@@ -62,17 +66,60 @@ class Sample:
     label: int
 
 
-@dataclass(frozen=True, init=False)
+class _Records:
+    """The packed wire records of a decoded dataset: count x <HH{d}i>, as
+    encode_dataset writes them after its header.
+
+    Iterating yields the feature rows, unpacked as they are read and never
+    kept, so each pass is a fresh read of the block; feature_bytes() yields
+    each row's 4*d wire bytes the same way. All reads are little-endian
+    struct formats, whatever the host's byte order.
+    """
+
+    __slots__ = ("block", "dimension")
+
+    def __init__(self, block: bytes | memoryview, dimension: int) -> None:
+        self.block = block
+        self.dimension = dimension
+
+    def __len__(self) -> int:
+        return len(self.block) // (4 + 4 * self.dimension)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return struct.iter_unpack(f"<4x{self.dimension}i", self.block)
+
+    def feature_bytes(self) -> Iterator[bytes]:
+        """struct.pack(f"<{d}i", *row) for every row, sliced from the block."""
+        return map(itemgetter(0), struct.iter_unpack(f"<4x{4 * self.dimension}s", self.block))
+
+    def column(self, at: int) -> tuple[int, ...]:
+        """The u16 field at byte `at` (0: group, 2: label) of every record."""
+        stride = 4 + 4 * self.dimension
+        fmt = f"<{at}xH{stride - at - 2}x"
+        return tuple(map(itemgetter(0), struct.iter_unpack(fmt, self.block)))
+
+    def __reduce__(self):
+        return _Records, (bytes(self.block), self.dimension)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Dataset:
     """A labelled test set, held by column: sample i is features[i],
-    groups[i] and labels[i]. `samples` builds Sample objects on first use;
-    the circuits and the experiments work on the columns.
+    groups[i] and labels[i].
+
+    The feature rows take one of two forms. A set built from samples, from
+    columns or by the generator keeps its rows as tuples. A set decoded
+    from the wire keeps its packed records instead (about 4 + 4d bytes per
+    sample against about 224 for a row tuple at d = 4); predict_batch and
+    augment_dataset read those rows as they unpack them, and nothing keeps
+    them. `features` and `samples` build tuples on first use, for the
+    callers that want them. Equality and hashing look at the values only,
+    so the two forms of one set are equal.
     """
 
     dimension: int
     num_groups: int
     num_labels: int
-    features: tuple[tuple[int, ...], ...]
     groups: tuple[int, ...]
     labels: tuple[int, ...]
 
@@ -109,29 +156,31 @@ class Dataset:
         labels: Iterable[int],
     ) -> "Dataset":
         """Build from columns whose rows each hold `dimension` int32 values
-        (decoded from the wire, taken from another Dataset, or generated);
-        the rows are not checked. Group and label ranges are checked."""
+        (taken from another Dataset, or generated); the rows are not
+        checked. Group and label ranges are checked."""
         dataset = cls.__new__(cls)
         dataset._set_columns(
             dimension, num_groups, num_labels, tuple(features), tuple(groups), tuple(labels)
         )
         return dataset
 
-    def _set_columns(self, dimension, num_groups, num_labels, features, groups, labels) -> None:
+    def _set_columns(self, dimension, num_groups, num_labels, rows, groups, labels) -> None:
+        # _rows is the one source every batch reads feature rows from: the
+        # row tuples, or the _Records of a decoded set.
         for name, value in (
             ("dimension", dimension),
             ("num_groups", num_groups),
             ("num_labels", num_labels),
-            ("features", features),
+            ("_rows", rows),
             ("groups", groups),
             ("labels", labels),
         ):
             object.__setattr__(self, name, value)
         if dimension < 1 or num_groups < 1 or num_labels < 1:
             raise ValueError("dimension, groups and labels must be positive")
-        if not len(features) == len(groups) == len(labels):
+        if not len(rows) == len(groups) == len(labels):
             raise ValueError("feature, group and label columns differ in length")
-        if not features:
+        if not groups:
             return
         for name, column, bound in (("group", groups, num_groups), ("label", labels, num_labels)):
             low, high = min(column), max(column)
@@ -139,20 +188,36 @@ class Dataset:
                 raise IdOutOfRangeError(f"{name} {low if low < 0 else high} outside [0, {bound})")
 
     @functools.cached_property
+    def features(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self._rows)  # a rows-form set's own tuple, not a copy
+
+    @functools.cached_property
     def samples(self) -> tuple[Sample, ...]:
         return tuple(map(Sample, self.features, self.groups, self.labels))
+
+    def _key(self) -> tuple:
+        return (self.dimension, self.num_groups, self.num_labels, self.groups, self.labels)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return self._key() == other._key() and all(map(eq, self._rows, other._rows))
+
+    def __hash__(self) -> int:
+        return hash((self._key(), tuple(map(hash, self._rows))))
 
 
 def canonical_order(dataset: Dataset) -> Dataset:
     """Stable sort by group id; the public ordering used for certification."""
-    order = sorted(range(len(dataset.groups)), key=dataset.groups.__getitem__)
+    features, groups, labels = dataset.features, dataset.groups, dataset.labels
+    order = sorted(range(len(groups)), key=groups.__getitem__)
     return Dataset.from_columns(
         dataset.dimension,
         dataset.num_groups,
         dataset.num_labels,
-        [dataset.features[i] for i in order],
-        [dataset.groups[i] for i in order],
-        [dataset.labels[i] for i in order],
+        [features[i] for i in order],
+        [groups[i] for i in order],
+        [labels[i] for i in order],
     )
 
 
@@ -160,10 +225,13 @@ _DATASET_HEADER = struct.Struct("<IIII")  # dimension, groups, labels, count
 
 
 def encode_dataset(dataset: Dataset) -> bytes:
-    """Magic, header, then per sample: group and label (u16), features (i32)."""
+    """Magic, header, then per sample: group and label (u16), features (i32).
+    A decoded set's records are written back as they are."""
     header = _DATASET_HEADER.pack(
         dataset.dimension, dataset.num_groups, dataset.num_labels, len(dataset.groups)
     )
+    if isinstance(dataset._rows, _Records):
+        return DATASET_MAGIC + header + dataset._rows.block
     record = struct.Struct(f"<HH{dataset.dimension}i").pack
     return DATASET_MAGIC + header + b"".join(
         record(g, y, *row)
@@ -172,6 +240,9 @@ def encode_dataset(dataset: Dataset) -> bytes:
 
 
 def decode_dataset(data: bytes | memoryview) -> Dataset:
+    """A records-form Dataset: the record block is kept as it is (a view
+    when `data` is immutable bytes, else a copy), and only the group and
+    label columns are read out of it."""
     if data[: len(DATASET_MAGIC)] != DATASET_MAGIC:
         raise MalformedDatasetError("bad dataset magic")
     offset = len(DATASET_MAGIC) + _DATASET_HEADER.size
@@ -184,24 +255,19 @@ def decode_dataset(data: bytes | memoryview) -> Dataset:
         raise MalformedDatasetError("truncated dataset")
     if payload < len(data) - offset:
         raise MalformedDatasetError("trailing bytes after dataset")
-    records = memoryview(data)[offset:]
-    # Two strided passes, each skipping ('x') the other's bytes: the ids,
-    # then the feature rows, with no per-record tuple kept for either.
-    ids = list(struct.iter_unpack(f"<HH{4 * dim}x", records)) if count else []
-    features = list(struct.iter_unpack(f"<4x{dim}i", records)) if count else []
+    block = memoryview(data)[offset:]
+    if not isinstance(block.obj, bytes):
+        block = bytes(block)  # no view into a buffer the caller may change
+    records = _Records(block, dim)
+    dataset = Dataset.__new__(Dataset)
     try:
-        # Each decoded row holds exactly dim int32 values, so only the group
-        # and label columns need a range check.
-        return Dataset.from_columns(
-            dim,
-            groups,
-            labels,
-            features,
-            [g for g, _ in ids],
-            [y for _, y in ids],
-        )
+        # Each record holds exactly dim int32 values, so only the group and
+        # label columns need a range check.
+        ids = (records.column(0), records.column(2)) if count else ((), ())
+        dataset._set_columns(dim, groups, labels, records, *ids)
     except ValueError as exc:
         raise MalformedDatasetError(str(exc)) from exc
+    return dataset
 
 
 @dataclass(frozen=True)
@@ -293,8 +359,10 @@ ModelSpec = Union[LinearModel, LookupModel, BiasedModel]
 # The prediction kernel. Each model object compiles itself once, on first
 # use, into a function from feature rows (and group ids) to labels;
 # predict() is that kernel over one sample, predict_batch() over a dataset.
+# The rows are a tuple of row tuples or a decoded set's _Records; either
+# can be read more than once.
 
-Rows = Sequence[tuple[int, ...]]
+Rows = Collection[tuple[int, ...]]
 Kernel = Callable[[Rows, Sequence[int]], list[int]]
 
 
@@ -335,7 +403,7 @@ def _row_scores(
         return in_range and fx.INT32_MIN <= b + low and b + high <= fx.INT32_MAX
 
     if not ws:
-        plain = lambda rows: repeat(b, len(rows))
+        plain = lambda rows: (b for _ in rows)  # a tee'd pass left unread would buffer every row
     elif len(ws) == 1:
         ((j, w),) = zip(index, ws)
         plain = lambda rows: (b + (w * row[j] >> fx.FRACTION_BITS) for row in rows)
@@ -359,9 +427,17 @@ def _linear_kernel(model: LinearModel) -> Kernel:
 
     def run(rows: Rows, groups: Sequence[int]) -> list[int]:
         span = functools.cache(lambda: _span(rows))
+        # Each scorer takes its own pass over the rows, all in lockstep. A
+        # decoded set's rows are unpacked once and shared by the passes, and
+        # tee keeps them only while they are in flight; row tuples are read
+        # by each scorer directly.
+        passes = tee(rows, len(scorers)) if isinstance(rows, _Records) else repeat(rows)
         # Each row's scores arrive together; index(max) picks the first
         # highest, so the lowest label wins ties.
-        return [s.index(max(s)) for s in zip(*(score(rows, span) for score in scorers))]
+        return [
+            s.index(max(s))
+            for s in zip(*(score(one, span) for score, one in zip(scorers, passes)))
+        ]
 
     return run
 
@@ -374,7 +450,9 @@ def _lookup_kernel(model: LookupModel) -> Kernel:
 def _biased_kernel(model: BiasedModel) -> Kernel:
     inner = model.inner._kernel
     # The draw is hash_u64(_FLIP_TAG, seed, packed features), compared with
-    # the rate's integer threshold. A zero rate never flips, unhashed.
+    # the rate's integer threshold. A zero rate never flips, unhashed. A
+    # decoded set's packed features are its wire bytes, so they are sliced
+    # from the records, not packed again.
     limits = tuple(map(threshold, model.flip_rates))
     prefix = _FLIP_TAG + model.seed
     pack = struct.Struct(f"<{model.dimension}i").pack
@@ -386,11 +464,12 @@ def _biased_kernel(model: BiasedModel) -> Kernel:
         if low < 0 or high >= len(limits):
             bad = low if low < 0 else high
             raise IdOutOfRangeError(f"group {bad} has no flip rate (got {len(limits)})")
+        packed = rows.feature_bytes() if isinstance(rows, _Records) else starmap(pack, rows)
         return [
             following[y]
-            if limits[g] and from_bytes(sha3(prefix + pack(*row)).digest()[:8], "little") < limits[g]
+            if limits[g] and from_bytes(sha3(prefix + key).digest()[:8], "little") < limits[g]
             else y
-            for y, g, row in zip(inner(rows, groups), groups, rows)
+            for y, g, key in zip(inner(rows, groups), groups, packed)
         ]
 
     return run
@@ -402,7 +481,7 @@ def predict_batch(model: ModelSpec, dataset: Dataset) -> list[int]:
         raise DimensionMismatchError(
             f"dataset has {dataset.dimension} features, model wants {model.dimension}"
         )
-    return model._kernel(dataset.features, dataset.groups)
+    return model._kernel(dataset._rows, dataset.groups)
 
 
 def predict(model: ModelSpec, sample: Sample) -> int:

@@ -118,7 +118,7 @@ class Frame:
         return struct.pack("<I", length) + bytes([self.type]) + self.payload
 
 
-def decode_frame(data: bytes) -> Frame:
+def decode_frame(data: bytes | memoryview) -> Frame:
     if len(data) < 5:
         raise ProtocolError("frame shorter than its fixed header")
     (length,) = struct.unpack_from("<I", data, 0)
@@ -127,7 +127,7 @@ def decode_frame(data: bytes) -> Frame:
     ftype = data[4]
     if ftype not in _KNOWN_FRAMES:
         raise ProtocolError(f"unknown frame type 0x{ftype:02x}")
-    return Frame(type=ftype, payload=data[5:])
+    return Frame(type=ftype, payload=bytes(data[5:]))
 
 
 class QueueChannel:
@@ -175,21 +175,21 @@ class SocketChannel:
         self._sock = sock
         self._sock.settimeout(timeout)
 
-    def _recv_exact(self, n: int) -> bytes:
-        buf = b""
-        while len(buf) < n:
+    def _recv_exact(self, view: memoryview) -> None:
+        """Fill view from the socket, reading straight into it."""
+        got = 0
+        while got < len(view):
             try:
-                chunk = self._sock.recv(n - len(buf))
+                size = self._sock.recv_into(view[got:])
             except socket.timeout:
                 raise ProtocolError("timed out waiting for a frame") from None
             except OSError:
                 raise ChannelClosed("socket error") from None
-            if not chunk:
-                if buf:
+            if not size:
+                if got:
                     raise ProtocolError("connection dropped mid-frame")
                 raise ChannelClosed("peer closed the connection")
-            buf += chunk
-        return buf
+            got += size
 
     def send_frame(self, frame: Frame) -> None:
         try:
@@ -198,12 +198,17 @@ class SocketChannel:
             raise ChannelClosed("socket error") from None
 
     def recv_frame(self) -> Frame:
-        header = self._recv_exact(4)
+        header = bytearray(4)
+        self._recv_exact(memoryview(header))
         (length,) = struct.unpack("<I", header)
         if length < 1 or length > MAX_FRAME_BYTES:
             raise ProtocolError(f"implausible frame length {length}")
-        body = self._recv_exact(length)
-        return decode_frame(header + body)
+        # One buffer per frame: the length field, then the body read into
+        # place, so the payload is copied once, by decode_frame.
+        data = bytearray(4 + length)
+        data[:4] = header
+        self._recv_exact(memoryview(data)[4:])
+        return decode_frame(memoryview(data))
 
     def close(self) -> None:
         try:
@@ -348,22 +353,27 @@ class Regulator:
         self.aug = aug
         self.last_commitment: bytes | None = None
         self._bundle: bytes | None = None
+        self._required: tuple[int, tuple[int, ...]] | None = None
 
     def required_counts(self) -> tuple[int, tuple[int, ...]]:
-        """(needed per cell, observed per cell) with the gap assumed 0."""
-        from fractions import Fraction
+        """(needed per cell, observed per cell) with the gap assumed 0;
+        counted at the first call and reused, since the dataset and spec
+        are fixed at construction."""
+        if self._required is None:
+            from fractions import Fraction
 
-        dataset = self.dataset
-        needed = min_samples(self.spec, Fraction(0), dataset.num_groups, dataset.num_labels)
-        if self.spec.metric is FairnessMetric.EO:
-            cells = Counter(zip(dataset.groups, dataset.labels))
-            observed = tuple(
-                cells[g, y] for g in range(dataset.num_groups) for y in range(dataset.num_labels)
-            )
-        else:
-            per_group = Counter(dataset.groups)
-            observed = tuple(per_group[g] for g in range(dataset.num_groups))
-        return needed, observed
+            dataset = self.dataset
+            needed = min_samples(self.spec, Fraction(0), dataset.num_groups, dataset.num_labels)
+            if self.spec.metric is FairnessMetric.EO:
+                cells = Counter(zip(dataset.groups, dataset.labels))
+                observed = tuple(
+                    cells[g, y] for g in range(dataset.num_groups) for y in range(dataset.num_labels)
+                )
+            else:
+                per_group = Counter(dataset.groups)
+                observed = tuple(per_group[g] for g in range(dataset.num_groups))
+            self._required = needed, observed
+        return self._required
 
     def bundle(self) -> bytes:
         """The test bundle fed to the dealer; encoded at the first

@@ -28,6 +28,8 @@ from faircert.dealer import (
     FscSession,
     SessionAbort,
     WrongStateError,
+    _cert_evaluate,
+    _cert_suitability,
     certification_decision,
     decode_query,
     decode_test_bundle,
@@ -454,6 +456,23 @@ def test_circuit_augments_before_evaluating():
     plain = run_cert(model_bytes, encode_test_bundle(CHEAP_SPEC, dataset))
     assert plain.output(PARTY_CHECKER)[0:1] == b"\x01"
     assert bit == b"\x00"
+
+
+@pytest.mark.parametrize(
+    "aug",
+    (None, AugmentorConfig(b"\x77" * 8, fx.ONE // 8, Fraction(1, 10), Fraction(1, 2))),
+    ids=("private", "augmented"),
+)
+def test_certification_streams_the_decoded_rows(aug):
+    # The circuit reads the feature rows of the decoded bundle as it
+    # unpacks them: after evaluation the decoded set has built no rows.
+    model_bytes, bundle, dataset, _ = planted_inputs(aug=aug)
+    inputs = _cert_suitability(model_bytes, bundle)
+    _, checker = _cert_evaluate(model_bytes, inputs)
+    assert checker[0] == ("fair_bit", b"\x01")
+    assert "features" not in vars(inputs.dataset)
+    assert "samples" not in vars(inputs.dataset)
+    assert inputs.dataset == dataset
 
 
 # --- transcripts ------------------------------------------------------------------

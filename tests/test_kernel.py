@@ -5,7 +5,8 @@ zeros included, and draws flips with prg.hash_u64, exactly as the model
 definitions read. The kernel skips zero weights, drops saturation on rows
 whose weights prove it cannot fire (over int32, or over the batch's feature
 span), and hashes inline; it must agree on every input, at every dimension
-from 1 to 784.
+from 1 to 784, on a dataset built from rows and on the same dataset decoded
+from its wire records.
 """
 
 import struct
@@ -21,12 +22,19 @@ from faircert.model import (
     LinearModel,
     LookupModel,
     Sample,
+    decode_dataset,
+    encode_dataset,
     predict,
     predict_batch,
 )
 from faircert.prg import hash_u64
 
 ONE = fx.ONE
+
+
+def both_forms(dataset):
+    """The dataset as built from rows, and as decoded from its records."""
+    return dataset, decode_dataset(encode_dataset(dataset))
 
 
 def reference_predict(model, features, group):
@@ -113,7 +121,8 @@ def cases(draw):
 def test_batch_kernel_matches_reference_loop(case):
     model, dataset = case
     expected = [reference_predict(model, s.features, s.group) for s in dataset.samples]
-    assert predict_batch(model, dataset) == expected
+    for form in both_forms(dataset):
+        assert predict_batch(model, form) == expected
     assert [predict(model, s) for s in dataset.samples] == expected
 
 
@@ -126,7 +135,8 @@ def test_unsaturated_rows_at_the_int32_edges():
             model = LinearModel(1, 2, ((weight,), (0,)), (bias, 0))
             dataset = Dataset(1, 1, 2, tuple(Sample(x, 0, 0) for x in edges))
             expected = [reference_predict(model, x, 0) for x in edges]
-            assert predict_batch(model, dataset) == expected, (weight, bias)
+            for form in both_forms(dataset):
+                assert predict_batch(model, form) == expected, (weight, bias)
 
 
 def test_feature_span_decides_the_plain_path():
@@ -141,13 +151,15 @@ def test_feature_span_decides_the_plain_path():
     large = Sample((fx.INT32_MAX, 0, 0), 0, 0)
     for rows in (small, small + (large,)):
         expected = [reference_predict(model, s.features, 0) for s in rows]
-        assert predict_batch(model, Dataset(3, 1, 2, rows)) == expected
+        for form in both_forms(Dataset(3, 1, 2, rows)):
+            assert predict_batch(model, form) == expected
 
 
 def test_zero_rate_group_is_never_flipped():
     inner = LinearModel(2, 2, ((ONE, 0), (0, ONE)), (0, 0))
     model = BiasedModel(inner, (Fraction(0), Fraction(999_999, 10**6)), b"\x01" * 8)
     rows = tuple(Sample((k * ONE, 0), g, 0) for k in range(50) for g in (0, 1))
-    labels = predict_batch(model, Dataset(2, 2, 2, rows))
-    assert labels[0::2] == [predict(inner, s) for s in rows[0::2]]
-    assert labels[1::2] != labels[0::2]
+    for form in both_forms(Dataset(2, 2, 2, rows)):
+        labels = predict_batch(model, form)
+        assert labels[0::2] == [predict(inner, s) for s in rows[0::2]]
+        assert labels[1::2] != labels[0::2]

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import struct
 from fractions import Fraction
 
@@ -231,7 +233,36 @@ def datasets(draw):
 
 @given(datasets())
 def test_dataset_round_trip(dataset):
-    assert decode_dataset(encode_dataset(dataset)) == dataset
+    blob = encode_dataset(dataset)
+    decoded = decode_dataset(blob)
+    assert encode_dataset(decoded) == blob
+    assert decoded == dataset and dataset == decoded
+    assert hash(decoded) == hash(dataset)
+    assert canonical_order(decoded) == canonical_order(dataset)
+    assert decoded.features == dataset.features
+    assert decoded.samples == dataset.samples
+
+
+def test_decoded_datasets_compare_by_their_features():
+    rows = ((5, 6), (7, 8))
+    base = Dataset.from_columns(2, 1, 1, rows, (0, 0), (0, 0))
+    other = Dataset.from_columns(2, 1, 1, ((5, 6), (7, 9)), (0, 0), (0, 0))
+    decoded = decode_dataset(encode_dataset(base))
+    assert decoded == decode_dataset(encode_dataset(base))
+    assert decoded != other and other != decoded
+    assert decoded != decode_dataset(encode_dataset(other))
+    assert "features" not in vars(decoded)  # compared without building rows
+
+
+def test_decoded_dataset_keeps_no_view_of_a_mutable_buffer():
+    dataset = Dataset(2, 1, 1, (Sample((5, 6), 0, 0),))
+    buffer = bytearray(encode_dataset(dataset))
+    decoded = decode_dataset(memoryview(buffer))
+    buffer[-1] ^= 1
+    buffer.clear()  # no export pins the buffer
+    assert decoded == dataset
+    assert pickle.loads(pickle.dumps(decoded)) == dataset
+    assert copy.deepcopy(decoded) == dataset
 
 
 def test_dataset_decode_rejects_malformed():

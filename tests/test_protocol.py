@@ -1,5 +1,6 @@
 import socket
 import struct
+import threading
 import time
 from fractions import Fraction
 
@@ -123,6 +124,31 @@ def test_oversized_frame_refused_alike_on_both_transports():
         socket_b.close()
 
 
+def test_socket_channel_frame_reads():
+    # A 2 MB frame arrives whole and byte-identical; a silent peer, a drop
+    # inside a frame and a clean close each raise their documented error.
+    big = Frame(FRAME_COMPUTE_INPUT, bytes(range(256)) * 8000)
+    sock_a, sock_b = socket.socketpair()
+    sender, receiver = SocketChannel(sock_a, 5.0), SocketChannel(sock_b, 0.2)
+    try:
+        thread = threading.Thread(target=sender.send_frame, args=(big,))
+        thread.start()
+        got = receiver.recv_frame()
+        thread.join()
+        assert got == big and type(got.payload) is bytes
+        with pytest.raises(ProtocolError, match="timed out"):
+            receiver.recv_frame()
+        sock_a.sendall(big.encode()[:1000])
+        sock_a.shutdown(socket.SHUT_WR)
+        with pytest.raises(ProtocolError, match="mid-frame"):
+            receiver.recv_frame()
+        with pytest.raises(ChannelClosed):
+            receiver.recv_frame()
+    finally:
+        sender.close()
+        receiver.close()
+
+
 def test_parse_endpoint():
     assert parse_endpoint("10.0.0.1:9000") == ("10.0.0.1", 9000)
     assert parse_endpoint(":80") == ("127.0.0.1", 80)
@@ -239,6 +265,14 @@ def test_required_counts_eo_uses_cells():
     assert len(observed) == dataset.num_groups * dataset.num_labels
     assert sum(observed) == len(dataset.samples)
     assert needed == CHEAP_REQUIRED  # same cardinalities, so the same bound
+
+
+def test_required_counts_are_counted_once(monkeypatch):
+    regulator, _, _, _ = certification_setup()
+    first = regulator.required_counts()
+    monkeypatch.setattr(protocol, "Counter", None)  # a second count would fail
+    assert regulator.precheck()
+    assert regulator.required_counts() is first
 
 
 # --- in-process certification flows ------------------------------------------------------
