@@ -18,7 +18,6 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, log, pi, sin, sqrt
-from typing import Iterable
 
 from . import fixedpoint as fx
 from . import prg
@@ -101,11 +100,12 @@ class AugmentorConfig:
         return cls.decode_public(data[SEED_BYTES:], data[:SEED_BYTES])
 
 
-def _augment_rows(
-    config: AugmentorConfig, rows: Iterable[tuple[int, ...]], first: int
-) -> list[tuple[int, ...]]:
-    """The augmented feature rows; row i is transformed with sample index
-    first + i. A row left alone is passed through as the same tuple.
+def _augment_records(
+    config: AugmentorConfig, records: bytes | memoryview, dimension: int, first: int
+) -> bytes | memoryview:
+    """The augmented count x <HH{d}i> record block (model.Dataset's form);
+    record i is transformed with sample index first + i. A record left alone
+    is copied without being unpacked, and the ids pass through.
 
     Sample i reads the stream keyed by master_seed || u64le(i) (prg module):
     the noise and mask invocation draws, then, when noise applies, two
@@ -114,28 +114,29 @@ def _augment_rows(
     masking applies, one draw per coordinate. Block 0 is hashed first, and
     only the blocks those draws reach after it; a config that can change
     nothing (invocation probability 0, or neither noise nor masking) hashes
-    no block.
+    no block and returns the block itself.
     """
     invoke = threshold(config.effective_invoke_prob)
     sigma = config.noise_sigma
     mask = threshold(config.mask_prob)
     if not invoke or not (sigma or mask):
-        return list(rows)  # no draw could change a row, so none is hashed
+        return records  # no draw could change a record, so none is hashed
     seed, pack, saturate = config.master_seed, _INDEX.pack, fx.saturate
+    d = dimension
+    record = struct.Struct(f"<HH{d}i")
     out = []
-    for index, row in enumerate(rows, first):
+    for index, (raw,) in enumerate(struct.iter_unpack(f"{record.size}s", records), first):
         key = seed + pack(index)
         words = prg.stream_words(key, 0, 1)
         noisy = sigma > 0 and words[0] < invoke
         masked = mask > 0 and words[1] < invoke
         if not (noisy or masked):
-            out.append(row)
+            out.append(raw)
             continue
-        d = len(row)
         used = 2 + (d + d % 2 if noisy else 0) + (d if masked else 0)
         if used > prg.WORDS_PER_BLOCK:
             words += prg.stream_words(key, 1, (used - 1) // prg.WORDS_PER_BLOCK)
-        features = list(row)
+        group, label, *features = record.unpack(raw)
         at = 2
         if noisy:
             for i in range(0, d, 2):
@@ -151,29 +152,24 @@ def _augment_rows(
             for i, u in enumerate(words[at : at + d]):
                 if u < mask:
                     features[i] = 0
-        out.append(tuple(features))
-    return out
+        out.append(record.pack(group, label, *features))
+    return b"".join(out)
 
 
 def augment(config: AugmentorConfig, sample: Sample, index: int) -> Sample:
-    """Transform one sample; deterministic in (config, sample, index)."""
+    """Transform one sample; deterministic in (config, sample, index).
+    Features must lie in int32, as in a Dataset."""
     if index < 0:
         raise ValueError("index must be nonnegative")
-    (features,) = _augment_rows(config, (sample.features,), index)
-    return Sample(features=features, group=sample.group, label=sample.label)
+    row = struct.Struct(f"<4x{len(sample.features)}i")
+    out = _augment_records(config, row.pack(*sample.features), len(sample.features), index)
+    return Sample(features=row.unpack(out), group=sample.group, label=sample.label)
 
 
 def augment_dataset(config: AugmentorConfig, dataset: Dataset) -> Dataset:
     """Apply augment() positionally; index i transforms sample i, on the
-    columns: no Sample is built. The rows are read in one pass, so a
-    decoded set's records are unpacked as they go and the input keeps no
-    rows; the result is a rows-form set."""
+    records: no Sample and no row is kept, and groups and labels are
+    unchanged."""
     # Every augmented coordinate is saturated and the dimension is kept.
-    return Dataset.from_columns(
-        dataset.dimension,
-        dataset.num_groups,
-        dataset.num_labels,
-        _augment_rows(config, dataset._rows, 0),
-        dataset.groups,
-        dataset.labels,
-    )
+    records = _augment_records(config, dataset.records, dataset.dimension, 0)
+    return Dataset._of_records(*dataset.header, dataset.groups, dataset.labels, records)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import fixedpoint as fx
 from .augmentor import AugmentorConfig, augment_dataset
 from .crypto import Certificate, keygen
-from .dealer import estimate_gates, estimate_gates_for_model
+from .dealer import FscSession, estimate_gates, estimate_gates_for_model
 from .experiments import (
     augmentation_sweep,
     knn_attack_sweep,
@@ -209,12 +209,20 @@ def _failure_exit(result) -> int:
     return _FAILURE_EXITS.get(reason, EXIT_ABORT)
 
 
+def _serve_dealer(endpoint: str) -> FscSession:
+    """Listen at the endpoint, accept both parties and run one dealer
+    session over their channels; the listener is closed either way."""
+    listener = open_listener(*parse_endpoint(endpoint))
+    try:
+        return serve_dealer(accept_channel(listener), accept_channel(listener))
+    finally:
+        listener.close()
+
+
 def cmd_certify(args) -> int:
     spec = _spec_from_args(args)
     if args.role == "dealer":
-        listener = open_listener(*parse_endpoint(args.listen))
-        session = serve_dealer(accept_channel(listener), accept_channel(listener))
-        listener.close()
+        session = _serve_dealer(args.listen)
         for line in session.transcript_lines():
             print(line)
         return EXIT_OK if session.abort_reason is None else EXIT_ABORT
@@ -272,9 +280,7 @@ def cmd_certify(args) -> int:
 def cmd_infer(args) -> int:
     spec = _spec_from_args(args)
     if args.role == "dealer":
-        listener = open_listener(*parse_endpoint(args.listen))
-        session = serve_dealer(accept_channel(listener), accept_channel(listener))
-        listener.close()
+        session = _serve_dealer(args.listen)
         return EXIT_OK if session.abort_reason is None else EXIT_ABORT
 
     if args.role == "server":
@@ -291,7 +297,7 @@ def cmd_infer(args) -> int:
         listener.close()
         if isinstance(result, Reject):
             print(f"client rejected: {result.reason}")
-            return _FAILURE_EXITS[result.reason] if result.reason in _FAILURE_EXITS else EXIT_REJECT
+            return _FAILURE_EXITS.get(result.reason, EXIT_REJECT)
         print("inference served")
         return EXIT_OK
 

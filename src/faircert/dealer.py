@@ -20,12 +20,12 @@ the exact model bytes (at most four of them), so a server answering query
 after query pays for its root once. The memo holds only roots: the parsed
 model and its compiled kernel are rebuilt each session.
 
-The decoded test set stays in its wire form: the dealer keeps the bundle's
-packed records (about 4 + 4d bytes per sample, a view of the session's
-input bytes) and the group and label columns, and the batch kernel and the
-augmentor unpack each feature row as they read it. No row of the
-regulator's set is kept, where a row tuple would take about 224 bytes per
-sample at d = 4.
+The decoded test set stays in its wire form, as every Dataset does: the
+dealer keeps the bundle's packed records (about 4 + 4d bytes per sample, a
+view of the session's input bytes) and the group and label columns, and
+the batch kernel and the augmentor unpack each feature row as they read it.
+No row of the regulator's set is kept, where a row tuple would take about
+224 bytes per sample at d = 4.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ table over the first feature's integer part, and a wrapper that flips the
 inner model's prediction per group at a configured rate (the vehicle for
 planting a known fairness gap).
 
-A Dataset decoded from the wire keeps its packed records, about 4 + 4d
-bytes per sample, and the batch kernel and the augmentor unpack its rows as
-they read them; the Dataset docstring has the two forms.
+A Dataset holds its samples as packed wire records, about 4 + 4d bytes per
+sample, whether it was built, generated or decoded; the kernels and the
+augmentor unpack its rows as they read them.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ import hashlib
 import json
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat, starmap, tee
-from operator import eq, itemgetter, mul, rshift
-from typing import Callable, Collection, Iterable, Iterator, Sequence, Union
+from itertools import accumulate, chain, compress, repeat, tee
+from operator import itemgetter, le, mul, rshift
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from . import fixedpoint as fx
 from .fairness import IdOutOfRangeError, micro_fraction, to_micro
@@ -39,6 +39,7 @@ ARCH_LOOKUP = 1
 ARCH_BIASED = 2
 
 _FLIP_TAG = b"flip:"
+_WIRE_IDS = 1 << 16  # group and label ids are u16 in a dataset record
 
 
 class DimensionMismatchError(ValueError):
@@ -66,55 +67,20 @@ class Sample:
     label: int
 
 
-class _Records:
-    """The packed wire records of a decoded dataset: count x <HH{d}i>, as
-    encode_dataset writes them after its header.
-
-    Iterating yields the feature rows, unpacked as they are read and never
-    kept, so each pass is a fresh read of the block; feature_bytes() yields
-    each row's 4*d wire bytes the same way. All reads are little-endian
-    struct formats, whatever the host's byte order.
-    """
-
-    __slots__ = ("block", "dimension")
-
-    def __init__(self, block: bytes | memoryview, dimension: int) -> None:
-        self.block = block
-        self.dimension = dimension
-
-    def __len__(self) -> int:
-        return len(self.block) // (4 + 4 * self.dimension)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return struct.iter_unpack(f"<4x{self.dimension}i", self.block)
-
-    def feature_bytes(self) -> Iterator[bytes]:
-        """struct.pack(f"<{d}i", *row) for every row, sliced from the block."""
-        return map(itemgetter(0), struct.iter_unpack(f"<4x{4 * self.dimension}s", self.block))
-
-    def column(self, at: int) -> tuple[int, ...]:
-        """The u16 field at byte `at` (0: group, 2: label) of every record."""
-        stride = 4 + 4 * self.dimension
-        fmt = f"<{at}xH{stride - at - 2}x"
-        return tuple(map(itemgetter(0), struct.iter_unpack(fmt, self.block)))
-
-    def __reduce__(self):
-        return _Records, (bytes(self.block), self.dimension)
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class Dataset:
-    """A labelled test set, held by column: sample i is features[i],
-    groups[i] and labels[i].
+    """A labelled test set: its packed wire records and its group and label
+    columns; sample i is record i, groups[i] and labels[i].
 
-    The feature rows take one of two forms. A set built from samples, from
-    columns or by the generator keeps its rows as tuples. A set decoded
-    from the wire keeps its packed records instead (about 4 + 4d bytes per
-    sample against about 224 for a row tuple at d = 4); predict_batch and
-    augment_dataset read those rows as they unpack them, and nothing keeps
-    them. `features` and `samples` build tuples on first use, for the
-    callers that want them. Equality and hashing look at the values only,
-    so the two forms of one set are equal.
+    `records` is the count x <HH{d}i> block that encode_dataset writes after
+    its header: per sample its group and label (u16), then its d features
+    (int32), little-endian on every host. That is about 4 + 4d bytes per
+    sample, against about 224 for a row tuple at d = 4. Every constructor
+    packs its rows once, and packing checks each row's length and int32
+    range; decode_dataset keeps the wire's block as it is. The kernels and
+    the augmentor unpack rows as they read them, and nothing keeps them.
+    `features` and `samples` build tuples on first use, for the callers that
+    want them. Two sets are equal when their headers and records are.
     """
 
     dimension: int
@@ -122,28 +88,15 @@ class Dataset:
     num_labels: int
     groups: tuple[int, ...]
     labels: tuple[int, ...]
+    records: bytes | memoryview = field(repr=False)
 
     def __init__(
         self, dimension: int, num_groups: int, num_labels: int, samples: Iterable[Sample]
     ) -> None:
         samples = tuple(samples)
-        features = tuple(s.features for s in samples)
-        self._set_columns(
-            dimension,
-            num_groups,
-            num_labels,
-            features,
-            tuple(s.group for s in samples),
-            tuple(s.label for s in samples),
-        )
-        bad = next((row for row in features if len(row) != dimension), None)
-        if bad is not None:
-            raise DimensionMismatchError(f"sample has {len(bad)} features, expected {dimension}")
-        if features and (
-            min(map(min, features)) < fx.INT32_MIN or max(map(max, features)) > fx.INT32_MAX
-        ):
-            raise ValueError("feature outside the signed 32-bit range")
-        self.__dict__["samples"] = samples
+        groups, labels = tuple(s.group for s in samples), tuple(s.label for s in samples)
+        self._set_columns(dimension, num_groups, num_labels, groups, labels)
+        self._pack([s.features for s in samples])
 
     @classmethod
     def from_columns(
@@ -155,94 +108,107 @@ class Dataset:
         groups: Iterable[int],
         labels: Iterable[int],
     ) -> "Dataset":
-        """Build from columns whose rows each hold `dimension` int32 values
-        (taken from another Dataset, or generated); the rows are not
-        checked. Group and label ranges are checked."""
+        """Build from a feature, a group and a label column, checked as
+        Dataset(...) checks its samples."""
         dataset = cls.__new__(cls)
-        dataset._set_columns(
-            dimension, num_groups, num_labels, tuple(features), tuple(groups), tuple(labels)
-        )
+        dataset._set_columns(dimension, num_groups, num_labels, tuple(groups), tuple(labels))
+        dataset._pack(tuple(features))
         return dataset
 
-    def _set_columns(self, dimension, num_groups, num_labels, rows, groups, labels) -> None:
-        # _rows is the one source every batch reads feature rows from: the
-        # row tuples, or the _Records of a decoded set.
-        for name, value in (
-            ("dimension", dimension),
-            ("num_groups", num_groups),
-            ("num_labels", num_labels),
-            ("_rows", rows),
-            ("groups", groups),
-            ("labels", labels),
-        ):
-            object.__setattr__(self, name, value)
+    @classmethod
+    def _of_records(cls, dimension, num_groups, num_labels, groups, labels, records) -> "Dataset":
+        """A set over a block that holds len(groups) records carrying these
+        group and label ids; the columns are checked, the block is not."""
+        dataset = cls.__new__(cls)
+        dataset._set_columns(dimension, num_groups, num_labels, groups, labels)
+        vars(dataset)["records"] = records
+        return dataset
+
+    def _set_columns(self, dimension, num_groups, num_labels, groups, labels) -> None:
+        names = ("dimension", "num_groups", "num_labels", "groups", "labels")
+        vars(self).update(zip(names, (dimension, num_groups, num_labels, groups, labels)))
         if dimension < 1 or num_groups < 1 or num_labels < 1:
             raise ValueError("dimension, groups and labels must be positive")
-        if not len(rows) == len(groups) == len(labels):
+        if len(groups) != len(labels):
             raise ValueError("feature, group and label columns differ in length")
         if not groups:
             return
         for name, column, bound in (("group", groups, num_groups), ("label", labels, num_labels)):
+            bound = min(bound, _WIRE_IDS)
             low, high = min(column), max(column)
             if low < 0 or high >= bound:
                 raise IdOutOfRangeError(f"{name} {low if low < 0 else high} outside [0, {bound})")
 
+    def _pack(self, rows: Sequence[tuple[int, ...]]) -> None:
+        if len(rows) != len(self.groups):
+            raise ValueError("feature, group and label columns differ in length")
+        record = struct.Struct(f"<HH{self.dimension}i").pack
+        try:
+            records = b"".join(
+                [record(g, y, *row) for g, y, row in zip(self.groups, self.labels, rows)]
+            )
+        except struct.error as exc:
+            # The ids are already in range, so the row is short, long or
+            # holds a value that is not an int32.
+            bad = next((row for row in rows if len(row) != self.dimension), None)
+            if bad is not None:
+                raise DimensionMismatchError(
+                    f"sample has {len(bad)} features, expected {self.dimension}"
+                ) from None
+            raise ValueError("feature outside the signed 32-bit range") from exc
+        vars(self)["records"] = records
+
     @functools.cached_property
     def features(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self._rows)  # a rows-form set's own tuple, not a copy
+        return tuple(struct.iter_unpack(f"<4x{self.dimension}i", self.records))
 
     @functools.cached_property
     def samples(self) -> tuple[Sample, ...]:
         return tuple(map(Sample, self.features, self.groups, self.labels))
 
-    def _key(self) -> tuple:
-        return (self.dimension, self.num_groups, self.num_labels, self.groups, self.labels)
+    @property
+    def header(self) -> tuple[int, int, int]:
+        """(dimension, num_groups, num_labels)."""
+        return self.dimension, self.num_groups, self.num_labels
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return self._key() == other._key() and all(map(eq, self._rows, other._rows))
+        return (self.header, self.records) == (other.header, other.records)
 
     def __hash__(self) -> int:
-        return hash((self._key(), tuple(map(hash, self._rows))))
+        return hash((self.header, self.records))
+
+    def __reduce__(self):
+        return decode_dataset, (encode_dataset(self),)
 
 
 def canonical_order(dataset: Dataset) -> Dataset:
-    """Stable sort by group id; the public ordering used for certification."""
-    features, groups, labels = dataset.features, dataset.groups, dataset.labels
+    """Stable sort by group id; the public ordering used for certification.
+    Whole records are moved as byte slices, none is unpacked, and a set
+    already in order is returned as it is."""
+    groups, labels = dataset.groups, dataset.labels
+    if all(map(le, groups, groups[1:])):
+        return dataset
     order = sorted(range(len(groups)), key=groups.__getitem__)
-    return Dataset.from_columns(
-        dataset.dimension,
-        dataset.num_groups,
-        dataset.num_labels,
-        [features[i] for i in order],
-        [groups[i] for i in order],
-        [labels[i] for i in order],
-    )
+    records = [r for (r,) in struct.iter_unpack(f"{4 + 4 * dataset.dimension}s", dataset.records)]
+    ordered = [tuple(column[i] for i in order) for column in (groups, labels)]
+    return Dataset._of_records(*dataset.header, *ordered, b"".join([records[i] for i in order]))
 
 
 _DATASET_HEADER = struct.Struct("<IIII")  # dimension, groups, labels, count
 
 
 def encode_dataset(dataset: Dataset) -> bytes:
-    """Magic, header, then per sample: group and label (u16), features (i32).
-    A decoded set's records are written back as they are."""
-    header = _DATASET_HEADER.pack(
-        dataset.dimension, dataset.num_groups, dataset.num_labels, len(dataset.groups)
-    )
-    if isinstance(dataset._rows, _Records):
-        return DATASET_MAGIC + header + dataset._rows.block
-    record = struct.Struct(f"<HH{dataset.dimension}i").pack
-    return DATASET_MAGIC + header + b"".join(
-        record(g, y, *row)
-        for row, g, y in zip(dataset.features, dataset.groups, dataset.labels)
-    )
+    """Magic, header, then per sample: group and label (u16), features (i32)."""
+    header = _DATASET_HEADER.pack(*dataset.header, len(dataset.groups))
+    return DATASET_MAGIC + header + dataset.records
 
 
 def decode_dataset(data: bytes | memoryview) -> Dataset:
-    """A records-form Dataset: the record block is kept as it is (a view
-    when `data` is immutable bytes, else a copy), and only the group and
-    label columns are read out of it."""
+    """The record block is kept as it is (a view when `data` is immutable
+    bytes, else a copy), and only the group and label columns are read out
+    of it."""
     if data[: len(DATASET_MAGIC)] != DATASET_MAGIC:
         raise MalformedDatasetError("bad dataset magic")
     offset = len(DATASET_MAGIC) + _DATASET_HEADER.size
@@ -250,24 +216,27 @@ def decode_dataset(data: bytes | memoryview) -> Dataset:
         raise MalformedDatasetError("truncated dataset")
     dim, groups, labels, count = _DATASET_HEADER.unpack_from(data, len(DATASET_MAGIC))
     # The declared count is checked against the payload before any parsing.
-    payload = count * (4 + 4 * dim)
-    if payload > len(data) - offset:
+    stride = 4 + 4 * dim
+    if count * stride > len(data) - offset:
         raise MalformedDatasetError("truncated dataset")
-    if payload < len(data) - offset:
+    if count * stride < len(data) - offset:
         raise MalformedDatasetError("trailing bytes after dataset")
     block = memoryview(data)[offset:]
     if not isinstance(block.obj, bytes):
         block = bytes(block)  # no view into a buffer the caller may change
-    records = _Records(block, dim)
-    dataset = Dataset.__new__(Dataset)
+
+    def column(at: int) -> tuple[int, ...]:
+        """The u16 field at byte `at` (0: group, 2: label) of every record."""
+        fmt = f"<{at}xH{stride - at - 2}x"
+        return tuple(map(itemgetter(0), struct.iter_unpack(fmt, block)))
+
     try:
         # Each record holds exactly dim int32 values, so only the group and
         # label columns need a range check.
-        ids = (records.column(0), records.column(2)) if count else ((), ())
-        dataset._set_columns(dim, groups, labels, records, *ids)
+        ids = (column(0), column(2)) if count else ((), ())
+        return Dataset._of_records(dim, groups, labels, *ids, block)
     except ValueError as exc:
         raise MalformedDatasetError(str(exc)) from exc
-    return dataset
 
 
 @dataclass(frozen=True)
@@ -357,20 +326,22 @@ ModelSpec = Union[LinearModel, LookupModel, BiasedModel]
 
 
 # The prediction kernel. Each model object compiles itself once, on first
-# use, into a function from feature rows (and group ids) to labels;
-# predict() is that kernel over one sample, predict_batch() over a dataset.
-# The rows are a tuple of row tuples or a decoded set's _Records; either
-# can be read more than once.
+# use, into a function from a dataset's packed records (and its group ids)
+# to labels; predict() is that kernel over one packed sample, predict_batch()
+# over a dataset. Each kernel unpacks the records with its own model's
+# dimension.
 
-Rows = Collection[tuple[int, ...]]
-Kernel = Callable[[Rows, Sequence[int]], list[int]]
+Records = Union[bytes, memoryview]
+Rows = Iterable[tuple[int, ...]]
+Kernel = Callable[[Records, Sequence[int]], list[int]]
 
 
-def _span(rows: Rows) -> tuple[int, int]:
-    """The least interval holding 0 and every feature of the rows."""
-    if not rows:
-        return 0, 0
-    return min(0, min(chain.from_iterable(rows))), max(0, max(chain.from_iterable(rows)))
+def _span(unpack: Callable[[Records], Rows], records: Records) -> tuple[int, int]:
+    """The least interval holding 0 and every feature of the records, read
+    in two passes."""
+    low = min(chain.from_iterable(unpack(records)), default=0)
+    high = max(chain.from_iterable(unpack(records)), default=0)
+    return min(0, low), max(0, high)
 
 
 def _row_scores(
@@ -424,16 +395,16 @@ def _row_scores(
 
 def _linear_kernel(model: LinearModel) -> Kernel:
     scorers = [_row_scores(w, b) for w, b in zip(model.weights, model.biases)]
+    unpack = struct.Struct(f"<4x{model.dimension}i").iter_unpack
 
-    def run(rows: Rows, groups: Sequence[int]) -> list[int]:
-        span = functools.cache(lambda: _span(rows))
-        # Each scorer takes its own pass over the rows, all in lockstep. A
-        # decoded set's rows are unpacked once and shared by the passes, and
-        # tee keeps them only while they are in flight; row tuples are read
-        # by each scorer directly.
-        passes = tee(rows, len(scorers)) if isinstance(rows, _Records) else repeat(rows)
-        # Each row's scores arrive together; index(max) picks the first
-        # highest, so the lowest label wins ties.
+    def run(records: Records, groups: Sequence[int]) -> list[int]:
+        span = functools.cache(lambda: _span(unpack, records))
+        # Each scorer takes its own pass over the rows, all in lockstep. The
+        # rows are unpacked once and shared by the passes, and tee keeps
+        # them only while they are in flight. Each row's scores arrive
+        # together; index(max) picks the first highest, so the lowest label
+        # wins ties.
+        passes = tee(unpack(records), len(scorers))
         return [
             s.index(max(s))
             for s in zip(*(score(one, span) for score, one in zip(scorers, passes)))
@@ -444,32 +415,34 @@ def _linear_kernel(model: LinearModel) -> Kernel:
 
 def _lookup_kernel(model: LookupModel) -> Kernel:
     table, size = model.table, len(model.table)
-    return lambda rows, groups: [table[(row[0] >> fx.FRACTION_BITS) % size] for row in rows]
+    firsts = struct.Struct(f"<4xi{4 * (model.dimension - 1)}x").iter_unpack
+    return lambda records, groups: [
+        table[(x >> fx.FRACTION_BITS) % size] for (x,) in firsts(records)
+    ]
 
 
 def _biased_kernel(model: BiasedModel) -> Kernel:
     inner = model.inner._kernel
     # The draw is hash_u64(_FLIP_TAG, seed, packed features), compared with
-    # the rate's integer threshold. A zero rate never flips, unhashed. A
-    # decoded set's packed features are its wire bytes, so they are sliced
-    # from the records, not packed again.
+    # the rate's integer threshold. A zero rate never flips, unhashed. The
+    # packed features are each record's wire bytes after its ids, so they
+    # are sliced from the block, not packed again.
     limits = tuple(map(threshold, model.flip_rates))
     prefix = _FLIP_TAG + model.seed
-    pack = struct.Struct(f"<{model.dimension}i").pack
+    keys = struct.Struct(f"<4x{4 * model.dimension}s").iter_unpack
     following = tuple((y + 1) % model.num_labels for y in range(model.num_labels))
     sha3, from_bytes = hashlib.sha3_256, int.from_bytes
 
-    def run(rows: Rows, groups: Sequence[int]) -> list[int]:
+    def run(records: Records, groups: Sequence[int]) -> list[int]:
         low, high = (min(groups), max(groups)) if groups else (0, 0)
         if low < 0 or high >= len(limits):
             bad = low if low < 0 else high
             raise IdOutOfRangeError(f"group {bad} has no flip rate (got {len(limits)})")
-        packed = rows.feature_bytes() if isinstance(rows, _Records) else starmap(pack, rows)
         return [
             following[y]
             if limits[g] and from_bytes(sha3(prefix + key).digest()[:8], "little") < limits[g]
             else y
-            for y, g, key in zip(inner(rows, groups), groups, packed)
+            for y, g, (key,) in zip(inner(records, groups), groups, keys(records))
         ]
 
     return run
@@ -481,7 +454,7 @@ def predict_batch(model: ModelSpec, dataset: Dataset) -> list[int]:
         raise DimensionMismatchError(
             f"dataset has {dataset.dimension} features, model wants {model.dimension}"
         )
-    return model._kernel(dataset._rows, dataset.groups)
+    return model._kernel(dataset.records, dataset.groups)
 
 
 def predict(model: ModelSpec, sample: Sample) -> int:
@@ -493,7 +466,8 @@ def predict(model: ModelSpec, sample: Sample) -> int:
         )
     if min(sample.features) < fx.INT32_MIN or max(sample.features) > fx.INT32_MAX:
         raise ValueError("feature outside the signed 32-bit range")
-    return model._kernel((sample.features,), (sample.group,))[0]
+    record = struct.pack(f"<4x{model.dimension}i", *sample.features)
+    return model._kernel(record, (sample.group,))[0]
 
 
 def _header(arch: int, dimension: int, num_labels: int) -> bytes:
@@ -741,17 +715,25 @@ def generate_planted(
     # thresholds of its cumulative weights (bisect finds the first bound
     # above the draw; the last bound is 2**64), then noise_dims draws for its
     # noise coordinates. Features are a one-hot +/-1 block that decodes the
-    # label, then uniform noise in [-1, 1) at exact Q16.16 resolution.
+    # label, then uniform noise in [-1, 1) at exact Q16.16 resolution. Each
+    # sample is packed as it is drawn: its ids and one-hot block are one
+    # prefix per cell.
     words = iter_words(derive_key(config.seed, "data"))
     labels_count, noise_dims = config.num_labels, config.noise_dims
+    head = struct.Struct(f"<{labels_count}i").pack
     heads = [
-        tuple(fx.ONE if j == y else -fx.ONE for j in range(labels_count))
+        head(*(fx.ONE if j == y else -fx.ONE for j in range(labels_count)))
         for y in range(labels_count)
     ]
-    features, groups, labels = [], [], []
+    prefixes = [
+        [struct.pack("<HH", g, y) + heads[y] for y in range(labels_count)]
+        for g in range(config.num_groups)
+    ]
+    noise = struct.Struct(f"<{noise_dims}i").pack
+    records, groups, labels = [], [], []
 
     def draw(g: int, y: int) -> None:
-        features.append(heads[y] + tuple(ints_below(words, 2 * fx.ONE, noise_dims, -fx.ONE)))
+        records.append(prefixes[g][y] + noise(*ints_below(words, 2 * fx.ONE, noise_dims, -fx.ONE)))
         groups.append(g)
         labels.append(y)
 
@@ -770,7 +752,6 @@ def generate_planted(
             limits = [threshold(acc / sum(row)) for acc in accumulate(row)]
             for _ in range(amount):
                 draw(g, bisect_right(limits, next(words)))
-    dataset = Dataset.from_columns(
-        config.dimension, config.num_groups, config.num_labels, features, groups, labels
-    )
+    header = config.dimension, config.num_groups, config.num_labels
+    dataset = Dataset._of_records(*header, tuple(groups), tuple(labels), b"".join(records))
     return dataset, planted_model(config), true_gaps(config)

@@ -33,8 +33,9 @@ import socket
 import struct
 import threading
 import time
-from collections import Counter
+from collections import Counter  # noqa: F401  (test_required_counts_are_counted_once patches it)
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 from .augmentor import AugmentorConfig, CONFIG_BYTES, SEED_BYTES
@@ -45,6 +46,7 @@ from .crypto import (
     certificate_message,
     decode_fairness_spec,
     encode_fairness_spec,
+    issue_certificate,
     key_id,
     verify,
 )
@@ -58,7 +60,7 @@ from .dealer import (
     encode_query,
     encode_test_bundle,
 )
-from .fairness import FairnessMetric, FairnessSpec, min_samples
+from .fairness import FairnessSpec, build_risk_table, min_samples, relevant_counts
 from .model import Dataset, ModelSpec, canonical_order, serialize_model
 
 PROTOCOL_VERSION = 1
@@ -360,19 +362,12 @@ class Regulator:
         counted at the first call and reused, since the dataset and spec
         are fixed at construction."""
         if self._required is None:
-            from fractions import Fraction
-
             dataset = self.dataset
             needed = min_samples(self.spec, Fraction(0), dataset.num_groups, dataset.num_labels)
-            if self.spec.metric is FairnessMetric.EO:
-                cells = Counter(zip(dataset.groups, dataset.labels))
-                observed = tuple(
-                    cells[g, y] for g in range(dataset.num_groups) for y in range(dataset.num_labels)
-                )
-            else:
-                per_group = Counter(dataset.groups)
-                observed = tuple(per_group[g] for g in range(dataset.num_groups))
-            self._required = needed, observed
+            # The true labels as predictions: the table's cells are the
+            # sample counts, and relevant_counts picks those the spec needs.
+            table = build_risk_table(dataset, dataset.labels)
+            self._required = needed, relevant_counts(table, self.spec.metric)
         return self._required
 
     def bundle(self) -> bytes:
@@ -421,8 +416,6 @@ class Regulator:
             raise ProtocolError("expected the certification result")
         fair, digest = result.payload[0], result.payload[1:]
         if fair == 1:
-            from .crypto import issue_certificate
-
             cert = issue_certificate(self.keypair, digest, self.spec)
             chan_s.send_frame(Frame(FRAME_CERTIFICATE, cert.to_bytes()))
             return cert

@@ -33,7 +33,7 @@ ONE = fx.ONE
 
 
 def both_forms(dataset):
-    """The dataset as built from rows, and as decoded from its records."""
+    """The dataset as packed from its rows, and as decoded from its encoding."""
     return dataset, decode_dataset(encode_dataset(dataset))
 
 

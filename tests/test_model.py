@@ -336,6 +336,43 @@ def test_dataset_validation():
         Dataset(2, 1, 1, (Sample((0,), 0, 0),))
     with pytest.raises(ValueError):
         Dataset(1, 1, 1, (Sample((2**31,), 0, 0),))
+    # Each bad sample is refused by both constructors with its documented
+    # error, before any encoding: ids must fit the wire's u16 fields even
+    # when the declared count of groups or labels is larger.
+    wire = r"65536 outside \[0, 65536\)"
+    int32 = "feature outside the signed 32-bit range"
+    cases = (
+        (IdOutOfRangeError, "group " + wire, (1, 70000, 1), Sample((0,), 65536, 0)),
+        (IdOutOfRangeError, "label " + wire, (1, 1, 70000), Sample((0,), 0, 65536)),
+        (DimensionMismatchError, "sample has 1 features, expected 2", (2, 1, 1), Sample((0,), 0, 0)),
+        (DimensionMismatchError, "has 3 features, expected 2", (2, 1, 1), Sample((0,) * 3, 0, 0)),
+        (ValueError, int32, (1, 1, 1), Sample((2**31,), 0, 0)),
+        (ValueError, int32, (2, 1, 1), Sample((0, -(2**31) - 1), 0, 0)),
+    )
+    for error, message, (dim, groups, labels), bad in cases:
+        good = Sample((0,) * dim, 0, 0)
+        with pytest.raises(error, match=message):
+            Dataset(dim, groups, labels, (good, bad))
+        with pytest.raises(error, match=message):
+            Dataset.from_columns(
+                dim, groups, labels, (good.features, bad.features), (0, bad.group), (0, bad.label)
+            )
+    wide = Dataset(1, 70000, 1, (Sample((0,), 65535, 0),))
+    assert decode_dataset(encode_dataset(wide)) == wide
+
+
+@given(datasets())
+def test_canonical_order_matches_a_stable_sort_of_the_samples(dataset):
+    ordered = canonical_order(dataset)
+    reference = Dataset(
+        dataset.dimension,
+        dataset.num_groups,
+        dataset.num_labels,
+        sorted(dataset.samples, key=lambda s: s.group),
+    )
+    assert ordered == reference
+    assert encode_dataset(ordered) == encode_dataset(reference)
+    assert canonical_order(decode_dataset(encode_dataset(dataset))) == reference
 
 
 def test_canonical_order_stable_by_group():

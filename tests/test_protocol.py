@@ -11,6 +11,7 @@ from conftest import (
     KEY_SEED,
     certification_setup,
     mutated,
+    quarter_config,
     returns_or_raises,
     specs,
     tcp_link,
@@ -30,7 +31,14 @@ from faircert.crypto import (
 from faircert.dealer import CIRCUIT_CERT, encode_query
 from faircert.fairness import FairnessMetric, FairnessSpec
 from faircert import dealer, protocol
-from faircert.model import BiasedModel, LinearModel, Sample, predict, serialize_model
+from faircert.model import (
+    BiasedModel,
+    LinearModel,
+    Sample,
+    generate_planted,
+    predict,
+    serialize_model,
+)
 from faircert.protocol import (
     FRAME_ABORT,
     FRAME_COMPUTE_INPUT,
@@ -273,6 +281,37 @@ def test_required_counts_are_counted_once(monkeypatch):
     monkeypatch.setattr(protocol, "Counter", None)  # a second count would fail
     assert regulator.precheck()
     assert regulator.required_counts() is first
+
+
+@pytest.mark.parametrize("metric", tuple(FairnessMetric), ids=lambda m: m.name)
+def test_required_counts_count_each_metric_cells(metric, monkeypatch):
+    spec = FairnessSpec(metric=metric, epsilon=Fraction(1, 2), delta=Fraction(1, 5))
+    regulator, _, dataset, _ = certification_setup(spec=spec)
+    pairs = list(zip(dataset.groups, dataset.labels))
+    if metric is FairnessMetric.EO:
+        expected = tuple(pairs.count((g, y)) for g in range(2) for y in range(2))
+    else:
+        expected = tuple(dataset.groups.count(g) for g in range(2))
+    needed, observed = regulator.required_counts()
+    assert observed == expected
+    monkeypatch.setattr(protocol, "build_risk_table", None)  # a second count would fail
+    assert regulator.precheck() == (min(expected) >= needed)
+
+
+@pytest.mark.parametrize(
+    ("spec", "aug"), ((CHEAP_SPEC, None), (AUG_SPEC, AUG)), ids=("private", "augmented")
+)
+def test_regulator_certifies_without_building_rows(spec, aug):
+    # The regulator orders, counts and encodes its set on the records: an
+    # honest certification leaves it with no row or Sample tuples. The
+    # i.i.d. draw is not in group order, so the regulator reorders it.
+    dataset, model, _ = generate_planted(quarter_config(), 4 * CHEAP_REQUIRED)
+    assert list(dataset.groups) != sorted(dataset.groups)
+    regulator = Regulator(keygen(KEY_SEED), dataset, spec, aug)
+    result = run_certification_local(regulator, Server(model)).regulator_result
+    assert isinstance(result, Certificate)
+    assert "features" not in vars(regulator.dataset)
+    assert "samples" not in vars(regulator.dataset)
 
 
 # --- in-process certification flows ------------------------------------------------------
