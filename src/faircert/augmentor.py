@@ -117,10 +117,9 @@ def _augment_records(
     no block and returns the block itself.
     """
     invoke = threshold(config.effective_invoke_prob)
-    sigma = config.noise_sigma
-    mask = threshold(config.mask_prob)
-    if not invoke or not (sigma or mask):
+    if not invoke or config.is_identity():
         return records  # no draw could change a record, so none is hashed
+    sigma, mask = config.noise_sigma, threshold(config.mask_prob)
     seed, pack, saturate = config.master_seed, _INDEX.pack, fx.saturate
     d = dimension
     record = struct.Struct(f"<HH{d}i")

@@ -46,6 +46,11 @@ from .model import (
 )
 from .prg import derive_key
 from .protocol import (
+    REASON_FSC_ABORT,
+    REASON_NOT_FAIR,
+    REASON_PRECHECK_FAILED,
+    REASON_SIG_INVALID,
+    REASON_SPEC_MISMATCH,
     AcceptedPrediction,
     CertFailure,
     Client,
@@ -67,11 +72,11 @@ EXIT_PRECONDITION = 3
 EXIT_ABORT = 4
 
 _FAILURE_EXITS = {
-    "NOT_FAIR": EXIT_REJECT,
-    "SIG_INVALID": EXIT_REJECT,
-    "SPEC_MISMATCH": EXIT_REJECT,
-    "PRECHECK_FAILED": EXIT_PRECONDITION,
-    "FSC_ABORT": EXIT_ABORT,
+    REASON_NOT_FAIR: EXIT_REJECT,
+    REASON_SIG_INVALID: EXIT_REJECT,
+    REASON_SPEC_MISMATCH: EXIT_REJECT,
+    REASON_PRECHECK_FAILED: EXIT_PRECONDITION,
+    REASON_FSC_ABORT: EXIT_ABORT,
 }
 
 
@@ -203,10 +208,25 @@ def _load_config(args) -> PlantedConfig:
     return config
 
 
-def _failure_exit(result) -> int:
-    reason = result.reason
-    print(f"failed: {reason}")
-    return _FAILURE_EXITS.get(reason, EXIT_ABORT)
+def _failure_exit(label: str, reason: str) -> int:
+    print(f"{label}: {reason}")
+    return _FAILURE_EXITS[reason]
+
+
+def _load_server(model_path: str, cert_path: str | None = None) -> Server:
+    """The server for the model file, holding the certificate file if given."""
+    with open(model_path, "rb") as fh:
+        server = Server(deserialize_model(fh.read()))
+    if cert_path is not None:
+        with open(cert_path, "rb") as fh:
+            server.certificate = Certificate.from_bytes(fh.read())
+    return server
+
+
+def _connector(endpoint: str):
+    """A channel factory that dials the host:port endpoint."""
+    host, port = parse_endpoint(endpoint)
+    return lambda: connect_channel(host, port)
 
 
 def _serve_dealer(endpoint: str) -> FscSession:
@@ -228,49 +248,30 @@ def cmd_certify(args) -> int:
         return EXIT_OK if session.abort_reason is None else EXIT_ABORT
 
     if args.role == "server":
-        with open(args.model, "rb") as fh:
-            server = Server(deserialize_model(fh.read()))
-        host, port = parse_endpoint(args.connect)
-        chan = connect_channel(host, port)
-        dealer_host, dealer_port = parse_endpoint(args.dealer)
-        result = server.serve_certification(
-            chan, lambda: connect_channel(dealer_host, dealer_port)
-        )
+        server = _load_server(args.model)
+        chan = connect_channel(*parse_endpoint(args.connect))
+        result = server.serve_certification(chan, _connector(args.dealer))
         chan.close()
-        if isinstance(result, CertFailure):
-            return _failure_exit(result)
-        print(f"certificate received: {result.model_digest.hex()}")
-        if args.cert_out:
-            with open(args.cert_out, "wb") as fh:
-                fh.write(result.to_bytes())
-        return EXIT_OK
-
-    with open(args.data, "rb") as fh:
-        dataset = decode_dataset(fh.read())
-    aug = _aug_from_args(args, "augment") if args.mode == "augmented" else None
-    keypair = keygen(_signing_seed(args.seed))
-    regulator = Regulator(keypair, dataset, spec, aug)
-    if args.vk_out:
-        with open(args.vk_out, "wb") as fh:
-            fh.write(keypair.verification_key)
-
-    if args.role == "regulator":
-        listener = open_listener(*parse_endpoint(args.listen))
-        dealer_host, dealer_port = parse_endpoint(args.dealer)
-        result = regulator.certify(
-            lambda: accept_channel(listener),
-            lambda: connect_channel(dealer_host, dealer_port),
-        )
-        listener.close()
-    else:  # in-process: all three endpoints locally
-        with open(args.model, "rb") as fh:
-            server = Server(deserialize_model(fh.read()))
-        run = run_certification_local(regulator, server)
-        result = run.regulator_result
+    else:
+        with open(args.data, "rb") as fh:
+            dataset = decode_dataset(fh.read())
+        aug = _aug_from_args(args, "augment") if args.mode == "augmented" else None
+        keypair = keygen(_signing_seed(args.seed))
+        regulator = Regulator(keypair, dataset, spec, aug)
+        if args.vk_out:
+            with open(args.vk_out, "wb") as fh:
+                fh.write(keypair.verification_key)
+        if args.role == "regulator":
+            listener = open_listener(*parse_endpoint(args.listen))
+            result = regulator.certify(lambda: accept_channel(listener), _connector(args.dealer))
+            listener.close()
+        else:  # in-process: all three endpoints locally
+            result = run_certification_local(regulator, _load_server(args.model)).regulator_result
 
     if isinstance(result, CertFailure):
-        return _failure_exit(result)
-    print(f"certificate issued: {result.model_digest.hex()}")
+        return _failure_exit("failed", result.reason)
+    action = "received" if args.role == "server" else "issued"
+    print(f"certificate {action}: {result.model_digest.hex()}")
     if args.cert_out:
         with open(args.cert_out, "wb") as fh:
             fh.write(result.to_bytes())
@@ -284,20 +285,12 @@ def cmd_infer(args) -> int:
         return EXIT_OK if session.abort_reason is None else EXIT_ABORT
 
     if args.role == "server":
-        with open(args.model, "rb") as fh:
-            server = Server(deserialize_model(fh.read()))
-        with open(args.cert, "rb") as fh:
-            server.certificate = Certificate.from_bytes(fh.read())
+        server = _load_server(args.model, args.cert)
         listener = open_listener(*parse_endpoint(args.listen))
-        chan = accept_channel(listener)
-        dealer_host, dealer_port = parse_endpoint(args.dealer)
-        result = server.serve_inference(
-            chan, lambda: connect_channel(dealer_host, dealer_port)
-        )
+        result = server.serve_inference(accept_channel(listener), _connector(args.dealer))
         listener.close()
         if isinstance(result, Reject):
-            print(f"client rejected: {result.reason}")
-            return _FAILURE_EXITS.get(result.reason, EXIT_REJECT)
+            return _failure_exit("client rejected", result.reason)
         print("inference served")
         return EXIT_OK
 
@@ -309,23 +302,12 @@ def cmd_infer(args) -> int:
     client = Client(_parse_features(args.features), vk, spec)
 
     if args.role == "client":
-        host, port = parse_endpoint(args.connect)
-        dealer_host, dealer_port = parse_endpoint(args.dealer)
-        result = client.infer(
-            lambda: connect_channel(host, port),
-            lambda: connect_channel(dealer_host, dealer_port),
-        )
+        result = client.infer(_connector(args.connect), _connector(args.dealer))
     else:  # in-process
-        with open(args.model, "rb") as fh:
-            server = Server(deserialize_model(fh.read()))
-        with open(args.cert, "rb") as fh:
-            server.certificate = Certificate.from_bytes(fh.read())
-        run = run_inference_local(client, server)
-        result = run.client_result
+        result = run_inference_local(client, _load_server(args.model, args.cert)).client_result
 
     if isinstance(result, Reject):
-        print(f"rejected: {result.reason}")
-        return _FAILURE_EXITS.get(result.reason, EXIT_REJECT)
+        return _failure_exit("rejected", result.reason)
     assert isinstance(result, AcceptedPrediction)
     print(f"prediction: {result.label}")
     print(f"model digest: {result.model_digest.hex()}")

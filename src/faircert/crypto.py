@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (

@@ -7,14 +7,17 @@ output. The session records two things auditors care about: a leakage log
 transcript of the messages (input / compute / output / abort) suitable for
 line-oriented audit files.
 
-Two circuits exist, and each parses its two inputs once, in its suitability
-step. The certification circuit evaluates the server's model on the
-regulator's test bundle in one batch (augmenting it first when the bundle
-says so) and decides fairness with division-free integer comparisons: the
-gap test |err0*m1 - err1*m0| * 10**6 < threshold_micro * m0 * m1 per
-comparable pair, never forming a quotient. The inference circuit returns
-the model's label for one query plus the Merkle digest of the model bytes
-actually used, which is what lets the client check the certificate
+Two circuits exist, each one function of the two inputs: it parses both
+once, aborts on an input it cannot use, and evaluates. The certification
+circuit evaluates the server's model on the regulator's test bundle in one
+batch (augmenting it first when the bundle says so) and decides fairness
+with division-free integer comparisons: the gap test
+|err0*m1 - err1*m0| * 10**6 < threshold_micro * m0 * m1 per comparable
+pair, never forming a quotient. A compared cell with no samples aborts the
+session with EMPTY_CELL; every cell is checked before any pair, so the
+verdict does not depend on the order of the groups. The inference circuit
+returns the model's label for one query plus the Merkle digest of the model
+bytes actually used, which is what lets the client check the certificate
 afterwards. Both circuits take that digest from one bounded memo keyed by
 the exact model bytes (at most four of them), so a server answering query
 after query pays for its root once. The memo holds only roots: the parsed
@@ -51,6 +54,7 @@ from .fairness import (
     to_micro,
 )
 from .model import (
+    MODEL_HEADER_BYTES,
     BiasedModel,
     Dataset,
     MalformedDatasetError,
@@ -147,15 +151,19 @@ def decode_test_bundle(
 def integer_gap_strictly_below(
     table: GroupRiskTable, metric, threshold: Fraction
 ) -> bool:
-    """Gap < threshold decided purely on integers via cross-multiplication."""
+    """Gap < threshold decided purely on integers via cross-multiplication.
+
+    As empirical_gap does, it raises EmptyCellError when a compared cell
+    has no samples: every cell is checked before any pair is compared, so
+    the outcome does not depend on the order of the groups.
+    """
+    classes = comparison_cells(table, metric)
+    if table.num_groups > 1 and any(d == 0 for cells in classes for _, d in cells):
+        raise EmptyCellError("a compared cell has no samples")
     t_micro = to_micro(threshold)
-    for cells in comparison_cells(table, metric):
-        for i in range(len(cells)):
-            n0, d0 = cells[i]
-            for j in range(i + 1, len(cells)):
-                n1, d1 = cells[j]
-                if d0 == 0 or d1 == 0:
-                    raise EmptyCellError("a compared cell has no samples")
+    for cells in classes:
+        for i, (n0, d0) in enumerate(cells):
+            for n1, d1 in cells[i + 1 :]:
                 if abs(n0 * d1 - n1 * d0) * MICRO >= t_micro * d0 * d1:
                     return False
     return True
@@ -171,23 +179,32 @@ def certification_decision(spec: FairnessSpec, table: GroupRiskTable) -> bool:
     return min(relevant_counts(table, spec.metric)) >= required
 
 
-# Circuits: suitability(x1, x2) parses both inputs once, raising SessionAbort
-# on any it cannot use, and returns what it parsed; evaluate(x1, parsed)
-# returns the per-party outputs as named parts so deliveries can be audited
-# by name.
+def encode_query(features: tuple[int, ...]) -> bytes:
+    return struct.pack("<I", len(features)) + struct.pack(
+        f"<{len(features)}i", *features
+    )
+
+
+def decode_query(data: bytes) -> tuple[int, ...]:
+    if len(data) < 4:
+        raise ValueError("query too short")
+    (dim,) = struct.unpack_from("<I", data, 0)
+    if len(data) != 4 + 4 * dim:
+        raise ValueError("query length does not match its dimension")
+    return struct.unpack_from(f"<{dim}i", data, 4)
+
+
+# Circuits: each is one function of the server's input and the checker's
+# input. It parses both once, raises SessionAbort on an input it cannot use,
+# and returns the per-party outputs as named parts so deliveries can be
+# audited by name.
 
 _Parts = list[tuple[str, bytes]]
 
 
-@dataclass(frozen=True)
-class _CertInputs:
-    model: ModelSpec
-    spec: FairnessSpec
-    dataset: Dataset
-    aug: AugmentorConfig | None
-
-
 def _parse_model(model_bytes: bytes) -> ModelSpec:
+    if len(model_bytes) < MODEL_HEADER_BYTES:
+        raise SessionAbort(ABORT_SIZE_MISMATCH)
     try:
         return deserialize_model(model_bytes)
     except MalformedModelError:
@@ -207,9 +224,7 @@ def _model_digest(model_bytes: bytes) -> bytes:
     return merkle_root(model_bytes)
 
 
-def _cert_suitability(model_bytes: bytes, bundle_bytes: bytes) -> _CertInputs:
-    if len(model_bytes) < 15:
-        raise SessionAbort(ABORT_SIZE_MISMATCH)
+def _certify(model_bytes: bytes, bundle_bytes: bytes) -> tuple[_Parts, _Parts]:
     try:
         spec, dataset, aug = decode_test_bundle(bundle_bytes)
     except ValueError:
@@ -223,16 +238,11 @@ def _cert_suitability(model_bytes: bytes, bundle_bytes: bytes) -> _CertInputs:
         raise SessionAbort(ABORT_GROUP_MISMATCH)
     if model.num_labels > dataset.num_labels:
         raise SessionAbort(ABORT_LABEL_MISMATCH)
-    return _CertInputs(model, spec, dataset, aug)
-
-
-def _cert_evaluate(model_bytes: bytes, inputs: _CertInputs) -> tuple[_Parts, _Parts]:
-    dataset = inputs.dataset
-    if inputs.aug is not None:
-        dataset = augment_dataset(inputs.aug, dataset)
-    table = build_risk_table(dataset, predict_batch(inputs.model, dataset))
+    if aug is not None:
+        dataset = augment_dataset(aug, dataset)
+    table = build_risk_table(dataset, predict_batch(model, dataset))
     try:
-        fair = certification_decision(inputs.spec, table)
+        fair = certification_decision(spec, table)
     except EmptyCellError:
         raise SessionAbort(ABORT_EMPTY_CELL) from None
     checker: _Parts = [
@@ -242,26 +252,7 @@ def _cert_evaluate(model_bytes: bytes, inputs: _CertInputs) -> tuple[_Parts, _Pa
     return [], checker
 
 
-def encode_query(features: tuple[int, ...]) -> bytes:
-    return struct.pack("<I", len(features)) + struct.pack(
-        f"<{len(features)}i", *features
-    )
-
-
-def decode_query(data: bytes) -> tuple[int, ...]:
-    if len(data) < 4:
-        raise ValueError("query too short")
-    (dim,) = struct.unpack_from("<I", data, 0)
-    if len(data) != 4 + 4 * dim:
-        raise ValueError("query length does not match its dimension")
-    return struct.unpack_from(f"<{dim}i", data, 4)
-
-
-def _infer_suitability(
-    model_bytes: bytes, query_bytes: bytes
-) -> tuple[ModelSpec, tuple[int, ...]]:
-    if len(model_bytes) < 15:
-        raise SessionAbort(ABORT_SIZE_MISMATCH)
+def _infer(model_bytes: bytes, query_bytes: bytes) -> tuple[_Parts, _Parts]:
     try:
         features = decode_query(query_bytes)
     except ValueError:
@@ -269,13 +260,6 @@ def _infer_suitability(
     model = _parse_model(model_bytes)
     if len(features) != model.dimension:
         raise SessionAbort(ABORT_DIMENSION_MISMATCH)
-    return model, features
-
-
-def _infer_evaluate(
-    model_bytes: bytes, inputs: tuple[ModelSpec, tuple[int, ...]]
-) -> tuple[_Parts, _Parts]:
-    model, features = inputs
     # A query carries no group; a wrapper model served for inference flips
     # by its first group's rate. Deployed models are linear or lookup.
     label = predict(model, Sample(features=tuple(features), group=0, label=0))
@@ -286,10 +270,7 @@ def _infer_evaluate(
     return [], checker
 
 
-_CIRCUITS = {
-    CIRCUIT_CERT: (_cert_suitability, _cert_evaluate),
-    CIRCUIT_INFER: (_infer_suitability, _infer_evaluate),
-}
+_CIRCUITS = {CIRCUIT_CERT: _certify, CIRCUIT_INFER: _infer}
 
 
 @dataclass(frozen=True)
@@ -373,10 +354,9 @@ class FscSession:
         self._record(_party_name(party), "compute", bytes([circuit_id]))
         if any(v is None for v in self._requests.values()):
             return
-        suitability, evaluate = _CIRCUITS[circuit_id]
-        x1, x2 = self._inputs[PARTY_SERVER], self._inputs[PARTY_CHECKER]
+        circuit = _CIRCUITS[circuit_id]
         try:
-            y1, y2 = evaluate(x1, suitability(x1, x2))
+            y1, y2 = circuit(self._inputs[PARTY_SERVER], self._inputs[PARTY_CHECKER])
         except SessionAbort as abort:
             self._abort(abort.reason)
             return
@@ -406,11 +386,6 @@ class FscSession:
 
     def transcript_lines(self) -> list[str]:
         return [entry.line() for entry in self.transcript]
-
-    def write_audit(self, path: str) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            for line in self.transcript_lines():
-                fh.write(line + "\n")
 
 
 # Gate-cost model for garbling these computations as boolean circuits.

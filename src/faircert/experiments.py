@@ -45,14 +45,6 @@ class TrialResult:
     report: TestReport
 
 
-def _gap_for_metric(gaps, metric: FairnessMetric) -> Fraction:
-    return {
-        FairnessMetric.ORE: gaps.ore,
-        FairnessMetric.EO: gaps.eo,
-        FairnessMetric.DP: gaps.dp,
-    }[metric]
-
-
 def run_coverage(
     config: PlantedConfig,
     spec: FairnessSpec,
@@ -70,7 +62,7 @@ def run_coverage(
         dataset, model, gaps = generate_planted(cfg, m, group_counts=group_counts)
         report = decide(spec, build_risk_table(dataset, predict_batch(model, dataset)))
         results.append(
-            TrialResult(trial=t, true_gap=_gap_for_metric(gaps, spec.metric), report=report)
+            TrialResult(trial=t, true_gap=getattr(gaps, spec.metric.value), report=report)
         )
     return results
 

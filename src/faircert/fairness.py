@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -327,38 +326,6 @@ class TestReport:
         if self.failure_reason:
             lines.append(f"reason: {self.failure_reason}")
         return lines
-
-    def to_bytes(self) -> bytes:
-        reason_code = {
-            None: 0,
-            REASON_GAP_TOO_LARGE: 1,
-            REASON_INSUFFICIENT_SAMPLES: 2,
-        }[self.failure_reason]
-        required = 0xFFFFFFFF if self.per_group_required is None else self.per_group_required
-        out = struct.pack(
-            "<BBQQIH",
-            1 if self.passed else 0,
-            reason_code,
-            self.efg.numerator,
-            self.efg.denominator,
-            required,
-            len(self.per_group_actual),
-        )
-        return out + b"".join(struct.pack("<I", c) for c in self.per_group_actual)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "TestReport":
-        passed, reason_code, num, den, required, n = struct.unpack_from("<BBQQIH", data)
-        offset = struct.calcsize("<BBQQIH")
-        counts = struct.unpack_from(f"<{n}I", data, offset) if n else ()
-        reason = {0: None, 1: REASON_GAP_TOO_LARGE, 2: REASON_INSUFFICIENT_SAMPLES}[reason_code]
-        return cls(
-            efg=Fraction(num, den),
-            per_group_required=None if required == 0xFFFFFFFF else required,
-            per_group_actual=tuple(counts),
-            passed=bool(passed),
-            failure_reason=reason,
-        )
 
 
 def decide(spec: FairnessSpec, table: GroupRiskTable) -> TestReport:

@@ -497,7 +497,7 @@ def serialize_model(model: ModelSpec) -> bytes:
     raise TypeError(f"unknown model type {type(model)!r}")
 
 
-_HEADER_SIZE = len(MODEL_MAGIC) + 9
+MODEL_HEADER_BYTES = len(MODEL_MAGIC) + 9  # magic, then <BII> arch, dimension, labels
 
 
 def _parse_header(data: bytes, offset: int) -> tuple[int, int, int, int]:
@@ -509,7 +509,7 @@ def _parse_header(data: bytes, offset: int) -> tuple[int, int, int, int]:
         raise MalformedModelError("truncated model header") from exc
     if dim < 1 or labels < 1:
         raise MalformedModelError("dimension and num_labels must be positive")
-    return arch, dim, labels, offset + _HEADER_SIZE
+    return arch, dim, labels, offset + MODEL_HEADER_BYTES
 
 
 def _read_params(data: bytes, offset: int, count: int) -> tuple[tuple[int, ...], int]:
@@ -521,15 +521,9 @@ def _read_params(data: bytes, offset: int, count: int) -> tuple[tuple[int, ...],
 
 
 def deserialize_model(data: bytes) -> ModelSpec:
-    if len(data) < _HEADER_SIZE:
+    if len(data) < MODEL_HEADER_BYTES:
         raise MalformedModelError("model bytes shorter than the header")
     arch, dim, labels, offset = _parse_header(data, 0)
-    if arch == ARCH_LINEAR:
-        params, offset = _read_params(data, offset, labels * (dim + 1))
-        if offset != len(data):
-            raise MalformedModelError("trailing bytes after linear model")
-        weights = tuple(tuple(params[y * dim : (y + 1) * dim]) for y in range(labels))
-        return LinearModel(dim, labels, weights, tuple(params[labels * dim :]))
     if arch == ARCH_LOOKUP:
         remaining = len(data) - offset
         if remaining < 4 or remaining % 4:
@@ -540,29 +534,32 @@ def deserialize_model(data: bytes) -> ModelSpec:
             raise MalformedModelError("lookup entries must encode whole labels")
         return LookupModel(dim, labels, table)
     if arch == ARCH_BIASED:
-        inner_arch, inner_dim, inner_labels, inner_off = _parse_header(data, offset)
+        inner_arch, inner_dim, inner_labels, offset = _parse_header(data, offset)
         if inner_arch != ARCH_LINEAR:
             raise MalformedModelError("wrapper requires a linear inner model")
         if (inner_dim, inner_labels) != (dim, labels):
             raise MalformedModelError("wrapper header must mirror the inner model")
-        params, offset = _read_params(data, inner_off, inner_labels * (inner_dim + 1))
-        weights = tuple(
-            tuple(params[y * inner_dim : (y + 1) * inner_dim]) for y in range(inner_labels)
-        )
-        inner = LinearModel(inner_dim, inner_labels, weights, tuple(params[inner_labels * inner_dim :]))
-        tail = len(data) - offset
-        if tail < 12 or (tail - 8) % 4:
-            raise MalformedModelError("wrapper tail must be flip rates plus an 8-byte seed")
-        num_rates = (tail - 8) // 4
-        rates = []
-        for _ in range(num_rates):
-            (units,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            if units >= 10**6:
-                raise MalformedModelError("flip rate must be below 1")
-            rates.append(micro_fraction(units))
-        return BiasedModel(inner, tuple(rates), data[offset:])
-    raise MalformedModelError(f"unknown architecture id {arch}")
+    elif arch != ARCH_LINEAR:
+        raise MalformedModelError(f"unknown architecture id {arch}")
+    # The linear parameters: the whole model, or the wrapper's inner model.
+    params, offset = _read_params(data, offset, labels * (dim + 1))
+    weights = tuple(tuple(params[y * dim : (y + 1) * dim]) for y in range(labels))
+    linear = LinearModel(dim, labels, weights, tuple(params[labels * dim :]))
+    if arch == ARCH_LINEAR:
+        if offset != len(data):
+            raise MalformedModelError("trailing bytes after linear model")
+        return linear
+    tail = len(data) - offset
+    if tail < 12 or (tail - 8) % 4:
+        raise MalformedModelError("wrapper tail must be flip rates plus an 8-byte seed")
+    rates = []
+    for _ in range((tail - 8) // 4):
+        (units,) = struct.unpack_from("<I", data, offset)
+        offset += 4
+        if units >= 10**6:
+            raise MalformedModelError("flip rate must be below 1")
+        rates.append(micro_fraction(units))
+    return BiasedModel(linear, tuple(rates), data[offset:])
 
 
 def parameter_count(model: ModelSpec) -> int:

@@ -33,7 +33,6 @@ import socket
 import struct
 import threading
 import time
-from collections import Counter  # noqa: F401  (test_required_counts_are_counted_once patches it)
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -84,6 +83,8 @@ ROLE_REGULATOR = 1
 ROLE_SERVER = 2
 ROLE_CLIENT = 3
 ROLE_DEALER = 4
+
+_ROLE_NAMES = (None, "regulator", "server", "client", "dealer")  # indexed by role id
 
 REASON_NOT_FAIR = "NOT_FAIR"
 REASON_SIG_INVALID = "SIG_INVALID"
@@ -248,28 +249,29 @@ class RecordingChannel:
 ChannelFactory = Callable[[], object]
 
 
+def _expect(frame: Frame, ftype: int, what: str, size: int | None = None) -> bytes:
+    """The frame's payload; ProtocolError unless the frame has type ftype
+    and, when size is given, a payload of exactly size bytes."""
+    if frame.type != ftype or (size is not None and len(frame.payload) != size):
+        raise ProtocolError(f"expected {what}")
+    return frame.payload
+
+
 def exchange_hello(channel, my_role: int) -> int:
     """Mutual role/version announcement; returns the peer's role id."""
     channel.send_frame(Frame(FRAME_HELLO, struct.pack("<BH", my_role, PROTOCOL_VERSION)))
-    frame = channel.recv_frame()
-    if frame.type != FRAME_HELLO or len(frame.payload) != 3:
-        raise ProtocolError("expected a hello frame")
-    role, version = struct.unpack("<BH", frame.payload)
+    hello = _expect(channel.recv_frame(), FRAME_HELLO, "a hello frame", 3)
+    role, version = struct.unpack("<BH", hello)
     if version != PROTOCOL_VERSION:
         channel.send_frame(Frame(FRAME_ABORT, b""))
         raise ProtocolError(f"protocol version mismatch ({version} != {PROTOCOL_VERSION})")
     return role
 
 
-def publish_key(channel, keypair: KeyPair) -> None:
-    channel.send_frame(Frame(FRAME_CERT_ID, keypair.verification_key))
-
-
-def receive_key(channel) -> bytes:
-    frame = channel.recv_frame()
-    if frame.type != FRAME_CERT_ID or len(frame.payload) != 32:
-        raise ProtocolError("expected a key announcement frame")
-    return frame.payload
+def _hello(channel, my_role: int, peer_role: int) -> None:
+    """exchange_hello, refusing a peer that announces any other role."""
+    if exchange_hello(channel, my_role) != peer_role:
+        raise ProtocolError(f"peer did not identify as the {_ROLE_NAMES[peer_role]}")
 
 
 def encode_cert_request(
@@ -387,8 +389,7 @@ class Regulator:
         if not self.precheck():
             return CertFailure(REASON_PRECHECK_FAILED)
         chan_s = server_factory()
-        if exchange_hello(chan_s, ROLE_REGULATOR) != ROLE_SERVER:
-            raise ProtocolError("peer did not identify as the server")
+        _hello(chan_s, ROLE_REGULATOR, ROLE_SERVER)
         aug_public = self.aug.encode_public() if self.aug is not None else None
         chan_s.send_frame(
             Frame(
@@ -397,24 +398,22 @@ class Regulator:
             )
         )
         if self.aug is not None:
-            frame = chan_s.recv_frame()
-            if frame.type != FRAME_COMPUTE_INPUT or len(frame.payload) != 33:
-                raise ProtocolError("expected the server's input commitment")
-            if frame.payload[0] != CIRCUIT_CERT:
+            commitment = _expect(
+                chan_s.recv_frame(), FRAME_COMPUTE_INPUT, "the server's input commitment", 33
+            )
+            if commitment[0] != CIRCUIT_CERT:
                 raise ProtocolError("commitment names the wrong circuit")
-            self.last_commitment = frame.payload[1:]
+            self.last_commitment = commitment[1:]
             chan_s.send_frame(Frame(FRAME_SEED_REVEAL, self.aug.master_seed))
         chan_f = dealer_factory()
-        if exchange_hello(chan_f, ROLE_REGULATOR) != ROLE_DEALER:
-            raise ProtocolError("peer did not identify as the dealer")
+        _hello(chan_f, ROLE_REGULATOR, ROLE_DEALER)
         chan_f.send_frame(Frame(FRAME_COMPUTE_INPUT, bytes([CIRCUIT_CERT]) + self.bundle()))
         result = chan_f.recv_frame()
         if result.type == FRAME_ABORT:
             chan_s.send_frame(Frame(FRAME_ABORT, b""))
             return CertFailure(REASON_FSC_ABORT)
-        if result.type != FRAME_COMPUTE_RESULT or len(result.payload) != 33:
-            raise ProtocolError("expected the certification result")
-        fair, digest = result.payload[0], result.payload[1:]
+        payload = _expect(result, FRAME_COMPUTE_RESULT, "the certification result", 33)
+        fair, digest = payload[0], payload[1:]
         if fair == 1:
             cert = issue_certificate(self.keypair, digest, self.spec)
             chan_s.send_frame(Frame(FRAME_CERTIFICATE, cert.to_bytes()))
@@ -427,22 +426,19 @@ class Server:
     """Holds the model; stores the certificate a regulator issues for it."""
 
     def __init__(self, model: ModelSpec):
-        self.model = model
         self.model_bytes = serialize_model(model)
         self.certificate: Certificate | None = None
 
     def serve_certification(
         self, regulator_channel, dealer_factory: ChannelFactory
     ) -> Certificate | CertFailure:
-        if exchange_hello(regulator_channel, ROLE_SERVER) != ROLE_REGULATOR:
-            raise ProtocolError("peer did not identify as the regulator")
-        request = regulator_channel.recv_frame()
-        if request.type != FRAME_CERT_REQUEST:
-            raise ProtocolError("expected a certification request")
-        _spec, _total, aug_public = decode_cert_request(request.payload)
+        _hello(regulator_channel, ROLE_SERVER, ROLE_REGULATOR)
+        request = _expect(
+            regulator_channel.recv_frame(), FRAME_CERT_REQUEST, "a certification request"
+        )
+        _spec, _total, aug_public = decode_cert_request(request)
         chan_f = dealer_factory()
-        if exchange_hello(chan_f, ROLE_SERVER) != ROLE_DEALER:
-            raise ProtocolError("peer did not identify as the dealer")
+        _hello(chan_f, ROLE_SERVER, ROLE_DEALER)
         input_frame = Frame(FRAME_COMPUTE_INPUT, bytes([CIRCUIT_CERT]) + self.model_bytes)
         chan_f.send_frame(input_frame)
         if aug_public is not None:
@@ -451,8 +447,7 @@ class Server:
                 Frame(FRAME_COMPUTE_INPUT, bytes([CIRCUIT_CERT]) + commitment)
             )
             reveal = regulator_channel.recv_frame()
-            if reveal.type != FRAME_SEED_REVEAL or len(reveal.payload) != SEED_BYTES:
-                raise ProtocolError("expected the augmentor seed reveal")
+            _expect(reveal, FRAME_SEED_REVEAL, "the augmentor seed reveal", SEED_BYTES)
         outcome = regulator_channel.recv_frame()
         if outcome.type == FRAME_CERTIFICATE:
             self.certificate = Certificate.from_bytes(outcome.payload)
@@ -469,15 +464,11 @@ class Server:
         """Returns the client's rejection if one arrives; None on success."""
         if self.certificate is None:
             raise ValueError("server holds no certificate to present")
-        if exchange_hello(client_channel, ROLE_SERVER) != ROLE_CLIENT:
-            raise ProtocolError("peer did not identify as the client")
-        request = client_channel.recv_frame()
-        if request.type != FRAME_INFER_REQUEST:
-            raise ProtocolError("expected an inference request")
+        _hello(client_channel, ROLE_SERVER, ROLE_CLIENT)
+        _expect(client_channel.recv_frame(), FRAME_INFER_REQUEST, "an inference request")
         client_channel.send_frame(Frame(FRAME_CERTIFICATE, self.certificate.to_bytes()))
         chan_f = dealer_factory()
-        if exchange_hello(chan_f, ROLE_SERVER) != ROLE_DEALER:
-            raise ProtocolError("peer did not identify as the dealer")
+        _hello(chan_f, ROLE_SERVER, ROLE_DEALER)
         chan_f.send_frame(Frame(FRAME_COMPUTE_INPUT, bytes([CIRCUIT_INFER]) + self.model_bytes))
         try:
             final = client_channel.recv_frame()
@@ -502,21 +493,19 @@ class Client:
         self, server_factory: ChannelFactory, dealer_factory: ChannelFactory
     ) -> AcceptedPrediction | Reject:
         chan_s = server_factory()
-        if exchange_hello(chan_s, ROLE_CLIENT) != ROLE_SERVER:
-            raise ProtocolError("peer did not identify as the server")
+        _hello(chan_s, ROLE_CLIENT, ROLE_SERVER)
         chan_s.send_frame(Frame(FRAME_INFER_REQUEST, encode_fairness_spec(self.spec)))
-        cert_frame = chan_s.recv_frame()
-        if cert_frame.type != FRAME_CERTIFICATE:
-            raise ProtocolError("expected the certificate before the compute")
+        cert_bytes = _expect(
+            chan_s.recv_frame(), FRAME_CERTIFICATE, "the certificate before the compute"
+        )
         try:
-            cert = Certificate.from_bytes(cert_frame.payload)
+            cert = Certificate.from_bytes(cert_bytes)
         except MalformedCertificateError:
             chan_s.send_frame(_reject_frame(REASON_SIG_INVALID))
             chan_s.close()
             return Reject(REASON_SIG_INVALID)
         chan_f = dealer_factory()
-        if exchange_hello(chan_f, ROLE_CLIENT) != ROLE_DEALER:
-            raise ProtocolError("peer did not identify as the dealer")
+        _hello(chan_f, ROLE_CLIENT, ROLE_DEALER)
         chan_f.send_frame(
             Frame(FRAME_COMPUTE_INPUT, bytes([CIRCUIT_INFER]) + encode_query(self.features))
         )
@@ -525,10 +514,9 @@ class Client:
             chan_s.send_frame(Frame(FRAME_ABORT, b""))
             chan_s.close()
             return Reject(REASON_FSC_ABORT)
-        if result.type != FRAME_INFER_RESULT or len(result.payload) != 34:
-            raise ProtocolError("expected the inference result")
-        (label,) = struct.unpack_from("<H", result.payload, 0)
-        digest = result.payload[2:]
+        payload = _expect(result, FRAME_INFER_RESULT, "the inference result", 34)
+        (label,) = struct.unpack_from("<H", payload, 0)
+        digest = payload[2:]
         reason = self._check_certificate(cert, digest)
         if reason is not None:
             chan_s.send_frame(_reject_frame(reason))
@@ -553,6 +541,8 @@ def serve_dealer(channel_a, channel_b) -> FscSession:
     by_party: dict[int, object] = {}
     for chan in (channel_a, channel_b):
         role = exchange_hello(chan, ROLE_DEALER)
+        if role not in (ROLE_REGULATOR, ROLE_SERVER, ROLE_CLIENT):
+            raise ProtocolError(f"role {role} cannot take part in a compute session")
         party = PARTY_SERVER if role == ROLE_SERVER else PARTY_CHECKER
         if party in by_party:
             raise ProtocolError("both channels claim the same party")

@@ -9,7 +9,6 @@ import csv
 import time
 from fractions import Fraction
 
-import pytest
 from conftest import (
     CHEAP_SPEC,
     KEY_SEED,

@@ -1,4 +1,6 @@
 import csv
+import socket
+import threading
 from fractions import Fraction
 
 import pytest
@@ -280,6 +282,89 @@ def test_infer_wrong_key_exits_2(tmp_path, config_path, capsys):
     )
     assert code == 2
     assert "rejected: SIG_INVALID" in capsys.readouterr().out
+
+
+# --- certification and inference over TCP, one thread per role ------------------------
+
+
+def free_endpoint():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return f"127.0.0.1:{sock.getsockname()[1]}"
+
+
+def run_roles(*argvs):
+    """main(argv) for each argv on its own thread; each one's exit code, or
+    the exception it raised."""
+    outcomes = [None] * len(argvs)
+
+    def run(i, argv):
+        try:
+            outcomes[i] = main(argv)
+        except BaseException as exc:  # reported by the assertion on outcomes
+            outcomes[i] = exc
+
+    threads = [threading.Thread(target=run, args=pair, daemon=True) for pair in enumerate(argvs)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    return outcomes
+
+
+def test_certify_and_infer_over_tcp(tmp_path, config_path, capsys):
+    data, model, local_cert, vk = certified_setup(tmp_path, config_path, capsys)
+    capsys.readouterr()
+    spec = ["--eps", "0.5", "--delta", "0.2", "--seed", "5"]
+    issued, received = tmp_path / "issued.bin", tmp_path / "received.bin"
+    dealer, host = free_endpoint(), free_endpoint()
+    assert run_roles(
+        ["certify", "--role", "dealer", "--listen", dealer, *spec],
+        ["certify", "--role", "regulator", "--listen", host, "--dealer", dealer,
+         "--data", str(data), "--cert-out", str(issued), *spec],
+        ["certify", "--role", "server", "--connect", host, "--dealer", dealer,
+         "--model", str(model), "--cert-out", str(received), *spec],
+    ) == [0, 0, 0]
+    cert_bytes = issued.read_bytes()
+    assert received.read_bytes() == cert_bytes == local_cert.read_bytes()
+    assert verify_certificate(vk.read_bytes(), Certificate.from_bytes(cert_bytes))
+    out = capsys.readouterr().out
+    digest = Certificate.from_bytes(cert_bytes).model_digest.hex()
+    assert f"certificate issued: {digest}" in out
+    assert f"certificate received: {digest}" in out
+
+    dealer, host = free_endpoint(), free_endpoint()
+    assert run_roles(
+        ["infer", "--role", "dealer", "--listen", dealer, *spec],
+        ["infer", "--role", "server", "--listen", host, "--dealer", dealer,
+         "--model", str(model), "--cert", str(received), *spec],
+        ["infer", "--role", "client", "--connect", host, "--dealer", dealer,
+         "--vk", str(vk), "--features", "0,1,0,0", *spec],
+    ) == [0, 0, 0]
+    out = lines_of(capsys)
+    assert "prediction: 1" in out
+    assert f"model digest: {digest}" in out
+    assert "inference served" in out
+
+
+def test_certify_over_tcp_not_fair_exits_2_on_both_parties(tmp_path, config_path, capsys):
+    data, model = tmp_path / "data.bin", tmp_path / "model.bin"
+    main(["gen-data", "--config", config_path, "--group-counts", "200,200",
+          "--out", str(data), "--seed", "5"])
+    main(["gen-model", "--config", config_path, "--rates", "0,0.45",
+          "--out", str(model), "--seed", "5"])
+    capsys.readouterr()
+    spec = ["--eps", "0.2", "--delta", "0.2", "--seed", "5"]
+    dealer, host = free_endpoint(), free_endpoint()
+    assert run_roles(
+        ["certify", "--role", "dealer", "--listen", dealer, *spec],
+        ["certify", "--role", "regulator", "--listen", host, "--dealer", dealer,
+         "--data", str(data), *spec],
+        ["certify", "--role", "server", "--connect", host, "--dealer", dealer,
+         "--model", str(model), *spec],
+    ) == [0, 2, 2]
+    assert lines_of(capsys).count("failed: NOT_FAIR") == 2
 
 
 # --- gate estimates -----------------------------------------------------------------

@@ -13,7 +13,6 @@ from faircert.crypto import (
     EmptyInputError,
     MalformedCertificateError,
     MalformedKeyError,
-    certificate_message,
     decode_fairness_spec,
     encode_fairness_spec,
     issue_certificate,

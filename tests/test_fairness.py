@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -15,7 +14,6 @@ from faircert.fairness import (
     GroupRiskTable,
     IdOutOfRangeError,
     LengthMismatchError,
-    TestReport,
     build_risk_table,
     canonical_fairness_string,
     decide,
@@ -338,33 +336,7 @@ def test_union_bound_meets_delta(delta, epsilon, num_groups, num_labels):
     assert union <= float(delta) * (1 + 1e-9)
 
 
-# --- report codec and the decision rule ------------------------------------
-
-
-def test_report_round_trip():
-    report = TestReport(
-        efg=Fraction(3, 7),
-        per_group_required=4061,
-        per_group_actual=(4100, 4061),
-        passed=False,
-        failure_reason=REASON_INSUFFICIENT_SAMPLES,
-    )
-    assert TestReport.from_bytes(report.to_bytes()) == report
-    passing = TestReport(
-        efg=Fraction(0),
-        per_group_required=1016,
-        per_group_actual=(1016, 1016),
-        passed=True,
-    )
-    assert TestReport.from_bytes(passing.to_bytes()) == passing
-    no_bound = TestReport(
-        efg=Fraction(1, 2),
-        per_group_required=None,
-        per_group_actual=(2, 2),
-        passed=False,
-        failure_reason=REASON_GAP_TOO_LARGE,
-    )
-    assert TestReport.from_bytes(no_bound.to_bytes()) == no_bound
+# --- the decision rule ------------------------------------------------------
 
 
 def zero_error_table(m_per_group):

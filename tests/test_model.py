@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import mutated, returns_or_raises
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from faircert import fixedpoint as fx
@@ -29,7 +29,6 @@ from faircert.model import (
     encode_dataset,
     generate_planted,
     parameter_count,
-    planted_model,
     predict,
     serialize_model,
     true_gaps,

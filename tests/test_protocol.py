@@ -28,7 +28,7 @@ from faircert.crypto import (
     merkle_root,
     verify_certificate,
 )
-from faircert.dealer import CIRCUIT_CERT, encode_query
+from faircert.dealer import CIRCUIT_CERT, CIRCUIT_INFER, encode_query
 from faircert.fairness import FairnessMetric, FairnessSpec
 from faircert import dealer, protocol
 from faircert.model import (
@@ -50,6 +50,7 @@ from faircert.protocol import (
     REASON_PRECHECK_FAILED,
     REASON_SIG_INVALID,
     REASON_SPEC_MISMATCH,
+    ROLE_DEALER,
     ROLE_REGULATOR,
     ROLE_SERVER,
     AcceptedPrediction,
@@ -68,8 +69,6 @@ from faircert.protocol import (
     encode_cert_request,
     exchange_hello,
     parse_endpoint,
-    publish_key,
-    receive_key,
     run_certification_local,
     run_inference_local,
     serve_dealer,
@@ -205,13 +204,6 @@ def test_hello_version_mismatch_aborts():
     assert b.recv_frame().type == FRAME_ABORT
 
 
-def test_key_announcement_round_trip():
-    a, b = channel_pair(timeout=1.0)
-    pair = keygen(KEY_SEED)
-    publish_key(a, pair)
-    assert receive_key(b) == pair.verification_key
-
-
 # --- certification request codec ----------------------------------------------------
 
 
@@ -278,7 +270,7 @@ def test_required_counts_eo_uses_cells():
 def test_required_counts_are_counted_once(monkeypatch):
     regulator, _, _, _ = certification_setup()
     first = regulator.required_counts()
-    monkeypatch.setattr(protocol, "Counter", None)  # a second count would fail
+    monkeypatch.setattr(protocol, "build_risk_table", None)  # a second count would fail
     assert regulator.precheck()
     assert regulator.required_counts() is first
 
@@ -696,6 +688,29 @@ def test_serve_dealer_refuses_two_channels_of_one_party():
     second.send_frame(hello)
     with pytest.raises(ProtocolError):
         serve_dealer(dealer_a, dealer_b)
+
+
+@pytest.mark.parametrize("role", (ROLE_DEALER, 200))
+def test_serve_dealer_refuses_a_role_no_party_holds(role):
+    # The peer sends a query as a client would, but only a regulator, a
+    # server or a client may feed a circuit: it gets no output.
+    server, _, _ = linear_server()
+    query = Frame(FRAME_COMPUTE_INPUT, bytes([CIRCUIT_INFER]) + encode_query((0, fx.ONE, 0)))
+    model = Frame(FRAME_COMPUTE_INPUT, bytes([CIRCUIT_INFER]) + server.model_bytes)
+    for link in LINKS:
+        (peer, dealer_peer), (srv, dealer_srv) = link(1.0), link(1.0)
+        peer.send_frame(Frame(FRAME_HELLO, struct.pack("<BH", role, PROTOCOL_VERSION)))
+        peer.send_frame(query)
+        srv.send_frame(Frame(FRAME_HELLO, struct.pack("<BH", ROLE_SERVER, PROTOCOL_VERSION)))
+        srv.send_frame(model)
+        with pytest.raises(ProtocolError, match=f"role {role} cannot"):
+            serve_dealer(dealer_peer, dealer_srv)
+        dealer_peer.close()
+        assert peer.recv_frame().type == FRAME_HELLO  # the dealer's own hello
+        with pytest.raises(ChannelClosed):
+            peer.recv_frame()
+        for end in (peer, srv, dealer_srv):
+            end.close()
 
 
 # --- TCP transport ---------------------------------------------------------------------
