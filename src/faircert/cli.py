@@ -12,6 +12,7 @@ import hashlib
 import os
 import struct
 import sys
+from contextlib import ExitStack, closing
 from dataclasses import replace
 from fractions import Fraction
 
@@ -223,20 +224,26 @@ def _load_server(model_path: str, cert_path: str | None = None) -> Server:
     return server
 
 
-def _connector(endpoint: str):
-    """A channel factory that dials the host:port endpoint."""
+def _connector(stack: ExitStack, endpoint: str):
+    """A channel factory that dials the host:port endpoint; the stack closes
+    every channel it opens."""
     host, port = parse_endpoint(endpoint)
-    return lambda: connect_channel(host, port)
+    return lambda: stack.enter_context(closing(connect_channel(host, port)))
+
+
+def _acceptor(stack: ExitStack, endpoint: str):
+    """A channel factory that accepts at the host:port endpoint, listening
+    from now on; the stack closes the listener and every channel it accepts."""
+    listener = stack.enter_context(closing(open_listener(*parse_endpoint(endpoint))))
+    return lambda: stack.enter_context(closing(accept_channel(listener)))
 
 
 def _serve_dealer(endpoint: str) -> FscSession:
     """Listen at the endpoint, accept both parties and run one dealer
-    session over their channels; the listener is closed either way."""
-    listener = open_listener(*parse_endpoint(endpoint))
-    try:
-        return serve_dealer(accept_channel(listener), accept_channel(listener))
-    finally:
-        listener.close()
+    session over their channels; all three sockets are closed either way."""
+    with ExitStack() as stack:
+        accept = _acceptor(stack, endpoint)
+        return serve_dealer(accept(), accept())
 
 
 def cmd_certify(args) -> int:
@@ -249,9 +256,9 @@ def cmd_certify(args) -> int:
 
     if args.role == "server":
         server = _load_server(args.model)
-        chan = connect_channel(*parse_endpoint(args.connect))
-        result = server.serve_certification(chan, _connector(args.dealer))
-        chan.close()
+        with ExitStack() as stack:
+            regulator_channel = _connector(stack, args.connect)()
+            result = server.serve_certification(regulator_channel, _connector(stack, args.dealer))
     else:
         with open(args.data, "rb") as fh:
             dataset = decode_dataset(fh.read())
@@ -262,9 +269,10 @@ def cmd_certify(args) -> int:
             with open(args.vk_out, "wb") as fh:
                 fh.write(keypair.verification_key)
         if args.role == "regulator":
-            listener = open_listener(*parse_endpoint(args.listen))
-            result = regulator.certify(lambda: accept_channel(listener), _connector(args.dealer))
-            listener.close()
+            with ExitStack() as stack:
+                result = regulator.certify(
+                    _acceptor(stack, args.listen), _connector(stack, args.dealer)
+                )
         else:  # in-process: all three endpoints locally
             result = run_certification_local(regulator, _load_server(args.model)).regulator_result
 
@@ -286,9 +294,9 @@ def cmd_infer(args) -> int:
 
     if args.role == "server":
         server = _load_server(args.model, args.cert)
-        listener = open_listener(*parse_endpoint(args.listen))
-        result = server.serve_inference(accept_channel(listener), _connector(args.dealer))
-        listener.close()
+        with ExitStack() as stack:
+            client_channel = _acceptor(stack, args.listen)()
+            result = server.serve_inference(client_channel, _connector(stack, args.dealer))
         if isinstance(result, Reject):
             return _failure_exit("client rejected", result.reason)
         print("inference served")
@@ -302,7 +310,8 @@ def cmd_infer(args) -> int:
     client = Client(_parse_features(args.features), vk, spec)
 
     if args.role == "client":
-        result = client.infer(_connector(args.connect), _connector(args.dealer))
+        with ExitStack() as stack:
+            result = client.infer(_connector(stack, args.connect), _connector(stack, args.dealer))
     else:  # in-process
         result = run_inference_local(client, _load_server(args.model, args.cert)).client_result
 

@@ -20,8 +20,9 @@ returns the model's label for one query plus the Merkle digest of the model
 bytes actually used, which is what lets the client check the certificate
 afterwards. Both circuits take that digest from one bounded memo keyed by
 the exact model bytes (at most four of them), so a server answering query
-after query pays for its root once. The memo holds only roots: the parsed
-model and its compiled kernel are rebuilt each session.
+after query pays for its root once. A second memo of the same bound keeps
+the parsed model, with the kernel it compiles on first use, so the dealer
+retains at most four parsed models and parses and compiles each once.
 
 The decoded test set stays in its wire form, as every Dataset does: the
 dealer keeps the bundle's packed records (about 4 + 4d bytes per sample, a
@@ -201,8 +202,19 @@ def decode_query(data: bytes) -> tuple[int, ...]:
 
 _Parts = list[tuple[str, bytes]]
 
+_MODELS_KEPT = 4  # model byte strings each dealer memo keeps
 
+
+@functools.lru_cache(maxsize=_MODELS_KEPT)
 def _parse_model(model_bytes: bytes) -> ModelSpec:
+    """The model the exact bytes encode, compiled kernel and all.
+
+    Kept as _model_digest keeps roots, for the last few byte strings: a
+    parsed model is immutable and compiles its kernel once, on first use,
+    so a server answering query after query pays for both once. A malformed
+    model raises and is never kept. deserialize_model is looked up at call
+    time, so a wrapper installed on this module's name sees every miss.
+    """
     if len(model_bytes) < MODEL_HEADER_BYTES:
         raise SessionAbort(ABORT_SIZE_MISMATCH)
     try:
@@ -211,7 +223,7 @@ def _parse_model(model_bytes: bytes) -> ModelSpec:
         raise SessionAbort(ABORT_MALFORMED_MODEL) from None
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=_MODELS_KEPT)
 def _model_digest(model_bytes: bytes) -> bytes:
     """Merkle root of the exact model bytes a circuit evaluated.
 

@@ -9,8 +9,10 @@ inner model's prediction per group at a configured rate (the vehicle for
 planting a known fairness gap).
 
 A Dataset holds its samples as packed wire records, about 4 + 4d bytes per
-sample, whether it was built, generated or decoded; the kernels and the
-augmentor unpack its rows as they read them.
+sample, whether it was built, generated or decoded. The linear and lookup
+kernels read only the feature columns their model uses, as strided slices
+of an int32 view of the records; the augmentor unpacks rows as it reads
+them.
 """
 
 from __future__ import annotations
@@ -19,12 +21,14 @@ import functools
 import hashlib
 import json
 import struct
+import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat, tee
+from itertools import accumulate, chain, compress, repeat
 from operator import itemgetter, le, mul, rshift
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from . import fixedpoint as fx
 from .fairness import IdOutOfRangeError, micro_fraction, to_micro
@@ -77,8 +81,9 @@ class Dataset:
     (int32), little-endian on every host. That is about 4 + 4d bytes per
     sample, against about 224 for a row tuple at d = 4. Every constructor
     packs its rows once, and packing checks each row's length and int32
-    range; decode_dataset keeps the wire's block as it is. The kernels and
-    the augmentor unpack rows as they read them, and nothing keeps them.
+    range; decode_dataset keeps the wire's block as it is. The kernels read
+    feature columns out of the block and the augmentor unpacks rows as it
+    reads them; nothing keeps a row.
     `features` and `samples` build tuples on first use, for the callers that
     want them. Two sets are equal when their headers and records are.
     """
@@ -185,15 +190,17 @@ class Dataset:
 
 def canonical_order(dataset: Dataset) -> Dataset:
     """Stable sort by group id; the public ordering used for certification.
-    Whole records are moved as byte slices, none is unpacked, and a set
-    already in order is returned as it is."""
-    groups, labels = dataset.groups, dataset.labels
+    Whole records are moved as byte slices, none is unpacked: one itemgetter
+    over the sorted order picks the records, the groups and the labels. A
+    set already in order is returned as it is."""
+    groups = dataset.groups
     if all(map(le, groups, groups[1:])):
         return dataset
-    order = sorted(range(len(groups)), key=groups.__getitem__)
+    # Out of order means at least two samples, so pick returns tuples.
+    pick = itemgetter(*sorted(range(len(groups)), key=groups.__getitem__))
     records = [r for (r,) in struct.iter_unpack(f"{4 + 4 * dataset.dimension}s", dataset.records)]
-    ordered = [tuple(column[i] for i in order) for column in (groups, labels)]
-    return Dataset._of_records(*dataset.header, *ordered, b"".join([records[i] for i in order]))
+    block = b"".join(pick(records))
+    return Dataset._of_records(*dataset.header, pick(groups), pick(dataset.labels), block)
 
 
 _DATASET_HEADER = struct.Struct("<IIII")  # dimension, groups, labels, count
@@ -225,16 +232,13 @@ def decode_dataset(data: bytes | memoryview) -> Dataset:
     if not isinstance(block.obj, bytes):
         block = bytes(block)  # no view into a buffer the caller may change
 
-    def column(at: int) -> tuple[int, ...]:
-        """The u16 field at byte `at` (0: group, 2: label) of every record."""
-        fmt = f"<{at}xH{stride - at - 2}x"
-        return tuple(map(itemgetter(0), struct.iter_unpack(fmt, block)))
-
     try:
         # Each record holds exactly dim int32 values, so only the group and
-        # label columns need a range check.
-        ids = (column(0), column(2)) if count else ((), ())
-        return Dataset._of_records(dim, groups, labels, *ids, block)
+        # label columns need a range check. They are the first two of the
+        # record's 2 + 2 * dim u16 items.
+        ids, half = _words(block, "H"), stride // 2
+        columns = tuple(ids[::half]), tuple(ids[1::half])
+        return Dataset._of_records(dim, groups, labels, *columns, block)
     except ValueError as exc:
         raise MalformedDatasetError(str(exc)) from exc
 
@@ -328,96 +332,104 @@ ModelSpec = Union[LinearModel, LookupModel, BiasedModel]
 # The prediction kernel. Each model object compiles itself once, on first
 # use, into a function from a dataset's packed records (and its group ids)
 # to labels; predict() is that kernel over one packed sample, predict_batch()
-# over a dataset. Each kernel unpacks the records with its own model's
-# dimension.
+# over a dataset. The linear and lookup kernels read the records as an int32
+# array (see _words): feature j of record i is item i * (d + 1) + 1 + j, so a
+# feature column is one strided slice of it, and only the columns a model
+# uses are read.
 
 Records = Union[bytes, memoryview]
-Rows = Iterable[tuple[int, ...]]
 Kernel = Callable[[Records, Sequence[int]], list[int]]
 
 
-def _span(unpack: Callable[[Records], Rows], records: Records) -> tuple[int, int]:
-    """The least interval holding 0 and every feature of the records, read
-    in two passes."""
-    low = min(chain.from_iterable(unpack(records)), default=0)
-    high = max(chain.from_iterable(unpack(records)), default=0)
-    return min(0, low), max(0, high)
+def _words(block: Records, code: str) -> Sequence[int]:
+    """The block as an array of little-endian items of type `code` ("H": u16,
+    "i": int32), as the wire writes them: a view of the block on a
+    little-endian host, a byteswapped copy on any other."""
+    if sys.byteorder == "little":
+        return memoryview(block).cast(code)
+    words = array(code)
+    words.frombytes(block)
+    words.byteswap()
+    return words
 
 
-def _row_scores(
-    weights: tuple[int, ...], bias: int
-) -> Callable[[Rows, Callable[[], tuple[int, int]]], Iterator[int]]:
-    """fx.dot(weights, row, bias) for every row, in order and with the same
-    results, computed as they are read.
+def _exact(terms: Sequence[int], bias: int, lo: int, hi: int) -> bool:
+    """Whether bias + sum((w * x) >> 16) over the nonzero weights `terms`
+    equals the saturating fx.dot for every feature vector in [lo, hi].
 
-    Zero weights are skipped: mul(0, x) is 0, and adding 0 to an
-    accumulator that already lies in int32 leaves it unchanged.
-
-    Over features in [lo, hi] with lo <= 0 <= hi, a term (w * x) >> 16 lies
-    between its values at x = lo and x = hi, one end at most 0 and the other
-    at least 0. If every term's range lies inside int32, and so do the bias
-    plus the sum of the lower ends and the bias plus the sum of the upper
-    ends, then no product and no prefix sum can saturate, and fx.dot is the
-    plain bias + sum((w * x) >> 16). The check is made once from the weights
-    over all of int32 and, if that fails, once per batch over the span of
-    the batch's features (the second argument, called only then). A batch
-    failing both keeps the step-by-step saturating fx.dot.
+    With lo <= 0 <= hi, a term (w * x) >> 16 lies between its values at
+    x = lo and x = hi, one end at most 0 and the other at least 0. If every
+    term's range lies inside int32, and so do the bias plus the sum of the
+    lower ends and the bias plus the sum of the upper ends, then no product
+    and no prefix sum can saturate. Zero weights add no term: mul(0, x) is 0,
+    and adding 0 to an accumulator that lies in int32 leaves it unchanged.
     """
-    b = fx.saturate(bias)
-    index = tuple(compress(range(len(weights)), weights))
-    ws = tuple(filter(None, weights))
+    ends = [sorted((w * lo >> fx.FRACTION_BITS, w * hi >> fx.FRACTION_BITS)) for w in terms]
+    low, high = sum(end[0] for end in ends), sum(end[1] for end in ends)
+    in_range = all(fx.INT32_MIN <= down and up <= fx.INT32_MAX for down, up in ends)
+    return in_range and fx.INT32_MIN <= bias + low and bias + high <= fx.INT32_MAX
 
-    def exact(lo: int, hi: int) -> bool:
-        ends = [sorted((w * lo >> fx.FRACTION_BITS, w * hi >> fx.FRACTION_BITS)) for w in ws]
-        low, high = sum(end[0] for end in ends), sum(end[1] for end in ends)
-        in_range = all(fx.INT32_MIN <= down and up <= fx.INT32_MAX for down, up in ends)
-        return in_range and fx.INT32_MIN <= b + low and b + high <= fx.INT32_MAX
 
-    if not ws:
-        plain = lambda rows: (b for _ in rows)  # a tee'd pass left unread would buffer every row
-    elif len(ws) == 1:
-        ((j, w),) = zip(index, ws)
-        plain = lambda rows: (b + (w * row[j] >> fx.FRACTION_BITS) for row in rows)
-    else:
-        pick = itemgetter(*index)
-        shift = repeat(fx.FRACTION_BITS)
-        plain = lambda rows: (b + sum(map(rshift, map(mul, ws, pick(row)), shift)) for row in rows)
-    if exact(fx.INT32_MIN, fx.INT32_MAX):
-        return lambda rows, span: plain(rows)
+def _span(columns: Iterable[Sequence[int]]) -> tuple[int, int]:
+    """The least interval holding 0 and every value of the columns."""
+    return (
+        min([0, *(min(column, default=0) for column in columns)]),
+        max([0, *(max(column, default=0) for column in columns)]),
+    )
 
-    def scores(rows: Rows, span: Callable[[], tuple[int, int]]) -> Iterator[int]:
-        if exact(*span()):
-            return plain(rows)
-        return (fx.dot(weights, row, b) for row in rows)
 
-    return scores
+def _plain_scores(
+    columns: Sequence[Sequence[int]], weights: Sequence[int], bias: int, count: int
+) -> Iterable[int]:
+    """bias + sum((w * x) >> 16) over the terms, for every row. A weight of
+    ONE scores its column as it is, since (ONE * x) >> 16 is x."""
+    shift = fx.FRACTION_BITS
+    terms = [
+        column if w == fx.ONE else map(rshift, map(mul, column, repeat(w)), repeat(shift))
+        for column, w in zip(columns, weights)
+    ]
+    if bias or not terms:
+        terms.append(repeat(bias, count))
+    return terms[0] if len(terms) == 1 else map(sum, zip(*terms))
 
 
 def _linear_kernel(model: LinearModel) -> Kernel:
-    scorers = [_row_scores(w, b) for w, b in zip(model.weights, model.biases)]
-    unpack = struct.Struct(f"<4x{model.dimension}i").iter_unpack
+    """Each label is scored from its nonzero (column, weight) terms, in
+    column order. A label whose terms cannot saturate over all of int32 is
+    always scored plainly; any other is checked again per batch over the
+    span of the columns the model uses, and a batch that fails that too
+    keeps the step-by-step saturating fx.dot. Every label of a row is scored
+    in one pass over the used columns; index(max) picks the first highest,
+    so the lowest label wins ties."""
+    stride = model.dimension + 1  # int32 items per record: the ids, then the features
+    labels = []
+    for row, bias in zip(model.weights, model.biases):
+        index, terms = tuple(compress(range(model.dimension), row)), tuple(filter(None, row))
+        b = fx.saturate(bias)
+        labels.append((index, terms, b, _exact(terms, b, fx.INT32_MIN, fx.INT32_MAX)))
+    used = sorted(set().union(*(index for index, *_ in labels)))
 
     def run(records: Records, groups: Sequence[int]) -> list[int]:
-        span = functools.cache(lambda: _span(unpack, records))
-        # Each scorer takes its own pass over the rows, all in lockstep. The
-        # rows are unpacked once and shared by the passes, and tee keeps
-        # them only while they are in flight. Each row's scores arrive
-        # together; index(max) picks the first highest, so the lowest label
-        # wins ties.
-        passes = tee(unpack(records), len(scorers))
-        return [
-            s.index(max(s))
-            for s in zip(*(score(one, span) for score, one in zip(scorers, passes)))
-        ]
+        words = _words(records, "i")
+        count = len(words) // stride
+        columns = {j: words[1 + j :: stride] for j in used}
+        span = functools.cache(lambda: _span(columns.values()))
+        scores = []
+        for index, terms, b, safe in labels:
+            picked = [columns[j] for j in index]
+            if safe or _exact(terms, b, *span()):
+                scores.append(_plain_scores(picked, terms, b, count))
+            else:
+                scores.append(map(fx.dot, repeat(terms), zip(*picked), repeat(b)))
+        return [s.index(max(s)) for s in zip(*scores)]
 
     return run
 
 
 def _lookup_kernel(model: LookupModel) -> Kernel:
-    table, size = model.table, len(model.table)
-    firsts = struct.Struct(f"<4xi{4 * (model.dimension - 1)}x").iter_unpack
+    table, size, stride = model.table, len(model.table), model.dimension + 1
     return lambda records, groups: [
-        table[(x >> fx.FRACTION_BITS) % size] for (x,) in firsts(records)
+        table[(x >> fx.FRACTION_BITS) % size] for x in _words(records, "i")[1::stride]
     ]
 
 

@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
+from faircert import dealer
 from faircert.crypto import keygen
 from faircert.fairness import FairnessMetric, FairnessSpec
 from faircert.model import PlantedConfig, generate_planted
@@ -21,6 +23,14 @@ CHEAP_SPEC = FairnessSpec(
     metric=FairnessMetric.ORE, epsilon=Fraction(1, 2), delta=Fraction(1, 5)
 )
 CHEAP_REQUIRED = 30  # per-group bound for CHEAP_SPEC at gap 0
+
+
+@pytest.fixture(autouse=True)
+def fresh_dealer_memos():
+    """Each test starts with empty dealer memos, so every parse and root a
+    test counts, or a failure it plants in deserialize_model, is its own."""
+    dealer._parse_model.cache_clear()
+    dealer._model_digest.cache_clear()
 
 
 def quarter_config(rates=(Fraction(0), Fraction(0)), seed=b"\x51" * 8):

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -529,7 +530,9 @@ def test_transcript_line_format():
     lines = session.transcript_lines()
     assert lines[0].startswith(f"0 P1 input {len(model_bytes)} ")
     assert lines[1].startswith(f"1 P2 input {len(bundle)} ")
-    assert lines[2] == lines[3].replace("P2", "P1", 1)[: len(lines[2])] or True
+    circuit = hashlib.sha3_256(bytes([CIRCUIT_CERT])).hexdigest()
+    assert lines[2] == f"2 P1 compute 1 {circuit}"
+    assert lines[3] == f"3 P2 compute 1 {circuit}"
 
 
 # --- gate-cost model --------------------------------------------------------------

@@ -10,12 +10,14 @@ from its wire records.
 """
 
 import struct
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faircert import fixedpoint as fx
+from faircert import model as model_module
 from faircert.model import (
     BiasedModel,
     Dataset,
@@ -163,3 +165,45 @@ def test_zero_rate_group_is_never_flipped():
         labels = predict_batch(model, form)
         assert labels[0::2] == [predict(inner, s) for s in rows[0::2]]
         assert labels[1::2] != labels[0::2]
+
+
+def test_unused_columns_do_not_widen_the_feature_span(monkeypatch):
+    # A bias of ONE rules out the int32 proof for both planted rows, so the
+    # batch's span decides. The third column holds the int32 edges, but no
+    # weight reads it, so the span over the used columns is [-ONE, ONE] and
+    # no row takes the saturating loop.
+    model = LinearModel(3, 2, ((ONE, 0, 0), (0, ONE, 0)), (ONE, ONE))
+    rows = tuple(
+        Sample((a, b, edge), 0, 0)
+        for a in (-ONE, 0, ONE)
+        for b in (-ONE, ONE)
+        for edge in (fx.INT32_MAX, fx.INT32_MIN)
+    )
+    expected = [reference_predict(model, s.features, 0) for s in rows]
+    dots = []
+    dot = fx.dot
+    monkeypatch.setattr(fx, "dot", lambda *args: dots.append(args) or dot(*args))
+    for form in both_forms(Dataset(3, 1, 2, rows)):
+        assert predict_batch(model, form) == expected
+    assert dots == []
+
+
+def _reversed_items(block, size):
+    """The block with the bytes of every size-byte item reversed, as a
+    big-endian host holds the little-endian wire items."""
+    return b"".join(block[i : i + size][::-1] for i in range(0, len(block), size))
+
+
+def test_a_big_endian_host_reads_a_byteswapped_copy(monkeypatch):
+    rows = ((ONE, -ONE, fx.INT32_MAX), (fx.INT32_MIN, 3, -7), (0, ONE // 2, 5 * ONE))
+    dataset = Dataset(3, 3, 2, (Sample(x, g, g % 2) for g, x in enumerate(rows)))
+    models = (
+        LinearModel(3, 2, ((ONE, 0, -ONE), (0, 2 * ONE, 0)), (0, ONE)),
+        LookupModel(3, 2, (0, 1, 1)),
+    )
+    expected = [predict_batch(model, dataset) for model in models]
+    words, halves = (_reversed_items(dataset.records, size) for size in (4, 2))
+    monkeypatch.setattr(sys, "byteorder", "big")
+    assert [model._kernel(words, dataset.groups) for model in models] == expected
+    ids = model_module._words(halves, "H")  # 8 u16 items per record at d = 3
+    assert (tuple(ids[::8]), tuple(ids[1::8])) == (dataset.groups, dataset.labels)

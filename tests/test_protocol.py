@@ -385,22 +385,25 @@ def _count_calls(monkeypatch, module, name):
     original = getattr(module, name)
 
     def counted(*args):
-        calls.append(name)
+        calls.append(args)
         return original(*args)
 
     monkeypatch.setattr(module, name, counted)
     return calls
 
 
-def test_bundle_encoded_once_and_parsed_once_per_session(monkeypatch):
+def test_bundle_encoded_once_and_each_model_parsed_once(monkeypatch):
     encodes = _count_calls(monkeypatch, protocol, "encode_test_bundle")
     decodes = _count_calls(monkeypatch, dealer, "decode_test_bundle")
     parses = _count_calls(monkeypatch, dealer, "deserialize_model")
-    regulator, server, _, _ = certification_setup()
+    regulator, server, _, model = certification_setup()
+    other = Server(BiasedModel(model.inner, model.flip_rates, b"\x02" * 8))
     for _ in range(2):
-        run = run_certification_local(regulator, server)
-        assert isinstance(run.regulator_result, Certificate)
-    assert (len(encodes), len(decodes), len(parses)) == (1, 2, 2)
+        for each in (server, other):
+            run = run_certification_local(regulator, each)
+            assert isinstance(run.regulator_result, Certificate)
+    assert (len(encodes), len(decodes)) == (1, 4)
+    assert parses == [(server.model_bytes,), (other.model_bytes,)]
 
 
 def test_augmented_commit_reveal():
@@ -570,12 +573,16 @@ def test_query_never_reaches_the_server():
     assert server.model_bytes not in client_saw
 
 
-def test_inference_parses_the_model_once(monkeypatch):
+def test_inference_parses_each_model_once_across_sessions(monkeypatch):
     parses = _count_calls(monkeypatch, dealer, "deserialize_model")
     server, _, pair = linear_server()
+    other = _certified(Server(LinearModel(3, 2, ((1, 1, 1), (2, 2, 2)), (0, 0))), pair)
     client = Client((0, fx.ONE, 0), pair.verification_key, CHEAP_SPEC)
-    assert isinstance(run_inference_local(client, server).client_result, AcceptedPrediction)
-    assert len(parses) == 1
+    for _ in range(3):
+        for each in (server, other):
+            result = run_inference_local(client, each).client_result
+            assert isinstance(result, AcceptedPrediction)
+    assert parses == [(server.model_bytes,), (other.model_bytes,)]
 
 
 def _certified(server, pair):
