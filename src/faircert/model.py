@@ -12,7 +12,8 @@ A Dataset holds its samples as packed wire records, about 4 + 4d bytes per
 sample, whether it was built, generated or decoded. The linear and lookup
 kernels read only the feature columns their model uses, as strided slices
 of an int32 view of the records; the augmentor unpacks rows as it reads
-them.
+them. The planted generator writes its records a byte column at a time,
+from the exact run of PRG blocks a set reads.
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat
-from operator import itemgetter, le, mul, rshift
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import floordiv, itemgetter, le, mod, mul, rshift
 from typing import Callable, Iterable, Sequence, Union
 
 from . import fixedpoint as fx
 from .fairness import IdOutOfRangeError, micro_fraction, to_micro
-from .prg import derive_key, ints_below, iter_words, threshold
+from .prg import WORDS_PER_BLOCK, derive_key, stream_bytes, threshold
 from .prg import hash_u64  # noqa: F401  (defines the flip draw; bench/ traces it here)
 
 MODEL_MAGIC = b"FAIRM1"
@@ -44,6 +45,14 @@ ARCH_BIASED = 2
 
 _FLIP_TAG = b"flip:"
 _WIRE_IDS = 1 << 16  # group and label ids are u16 in a dataset record
+# Byte 2 of a planted noise word to the high bytes of its value (see
+# _planted_records): 0xff when bit 0, which is bit 16 of the word, is clear.
+_SIGNS = bytes(0 if b & 1 else 0xFF for b in range(256))
+# Bytes a planted batch's stream or records take at most, unless four
+# samples take more. They then stay below the size at which the C allocator
+# maps a buffer apart; freeing a mapped buffer raises that size for the rest
+# of the process, which then grows its heap instead.
+_BATCH_BYTES = 1 << 16
 
 
 class DimensionMismatchError(ValueError):
@@ -436,10 +445,12 @@ def _lookup_kernel(model: LookupModel) -> Kernel:
 def _biased_kernel(model: BiasedModel) -> Kernel:
     inner = model.inner._kernel
     # The draw is hash_u64(_FLIP_TAG, seed, packed features), compared with
-    # the rate's integer threshold. A zero rate never flips, unhashed. The
-    # packed features are each record's wire bytes after its ids, so they
-    # are sliced from the block, not packed again.
+    # the rate's integer threshold. A zero rate never flips, unhashed, and a
+    # model whose rates are all zero returns its inner labels as they are.
+    # The packed features are each record's wire bytes after its ids, so
+    # they are sliced from the block, not packed again.
     limits = tuple(map(threshold, model.flip_rates))
+    flips = any(limits)
     prefix = _FLIP_TAG + model.seed
     keys = struct.Struct(f"<4x{4 * model.dimension}s").iter_unpack
     following = tuple((y + 1) % model.num_labels for y in range(model.num_labels))
@@ -450,11 +461,14 @@ def _biased_kernel(model: BiasedModel) -> Kernel:
         if low < 0 or high >= len(limits):
             bad = low if low < 0 else high
             raise IdOutOfRangeError(f"group {bad} has no flip rate (got {len(limits)})")
+        labels = inner(records, groups)
+        if not flips:
+            return labels
         return [
             following[y]
             if limits[g] and from_bytes(sha3(prefix + key).digest()[:8], "little") < limits[g]
             else y
-            for y, g, (key,) in zip(inner(records, groups), groups, keys(records))
+            for y, g, (key,) in zip(labels, groups, keys(records))
         ]
 
     return run
@@ -471,14 +485,16 @@ def predict_batch(model: ModelSpec, dataset: Dataset) -> list[int]:
 
 def predict(model: ModelSpec, sample: Sample) -> int:
     """Deterministic label for a sample; pure in (model bytes, sample).
-    Features are raw Q16.16 values and must lie in int32, as in a Dataset."""
+    Features are raw Q16.16 values and must be int32s, as in a Dataset; the
+    packer refuses any other value."""
     if len(sample.features) != model.dimension:
         raise DimensionMismatchError(
             f"sample has {len(sample.features)} features, model wants {model.dimension}"
         )
-    if min(sample.features) < fx.INT32_MIN or max(sample.features) > fx.INT32_MAX:
-        raise ValueError("feature outside the signed 32-bit range")
-    record = struct.pack(f"<4x{model.dimension}i", *sample.features)
+    try:
+        record = struct.pack(f"<4x{model.dimension}i", *sample.features)
+    except struct.error as exc:
+        raise ValueError("feature outside the signed 32-bit range") from exc
     return model._kernel(record, (sample.group,))[0]
 
 
@@ -717,50 +733,96 @@ def generate_planted(
 
     By default m samples come i.i.d. from the cell mixture. group_counts
     instead fixes the per-group sizes exactly (labels still drawn from the
-    group's conditional weights), which is how test sets of exactly the
-    required size are produced.
+    group's conditional weights), group after group, which is how test sets
+    of exactly the required size are produced.
+
+    Sample i reads words i * (1 + noise_dims) onwards of the seed's "data"
+    stream: one for its cell, then one per noise coordinate. The cell draw
+    is compared with the integer thresholds of the cumulative weights
+    (bisect finds the first bound above the draw; each last bound is
+    2**64). A noise coordinate is u mod 2**17, less ONE: uniform in
+    [-1, 1) at exact Q16.16 resolution. 2**17 divides 2**64, so no word is
+    ever rejected, and a set of N samples reads exactly its first
+    N * (1 + noise_dims) words, each hashed once. Features are a one-hot
+    +/-ONE block that decodes the label, then the noise. Samples are drawn in
+    batches of a multiple of four, so that each batch starts on a block.
     """
-    # Each sample takes one draw for its cell, compared with the integer
-    # thresholds of its cumulative weights (bisect finds the first bound
-    # above the draw; the last bound is 2**64), then noise_dims draws for its
-    # noise coordinates. Features are a one-hot +/-1 block that decodes the
-    # label, then uniform noise in [-1, 1) at exact Q16.16 resolution. Each
-    # sample is packed as it is drawn: its ids and one-hot block are one
-    # prefix per cell.
-    words = iter_words(derive_key(config.seed, "data"))
-    labels_count, noise_dims = config.num_labels, config.noise_dims
-    head = struct.Struct(f"<{labels_count}i").pack
-    heads = [
-        head(*(fx.ONE if j == y else -fx.ONE for j in range(labels_count)))
-        for y in range(labels_count)
-    ]
-    prefixes = [
-        [struct.pack("<HH", g, y) + heads[y] for y in range(labels_count)]
-        for g in range(config.num_groups)
-    ]
-    noise = struct.Struct(f"<{noise_dims}i").pack
-    records, groups, labels = [], [], []
-
-    def draw(g: int, y: int) -> None:
-        records.append(prefixes[g][y] + noise(*ints_below(words, 2 * fx.ONE, noise_dims, -fx.ONE)))
-        groups.append(g)
-        labels.append(y)
-
+    labels_count, per = config.num_labels, 1 + config.noise_dims
     if group_counts is None:
         if m < 0:
             raise ValueError("m must be nonnegative")
         limits = [threshold(acc) for acc in accumulate(chain.from_iterable(config.cell_weights))]
-        cells = [divmod(i, labels_count) for i in range(len(limits))]
-        for _ in range(m):
-            draw(*cells[bisect_right(limits, next(words))])
+        spans = [(0, len(limits), m)]
     else:
         if len(group_counts) != config.num_groups:
             raise ValueError("one count per group required")
-        for g, amount in enumerate(group_counts):
-            row = config.cell_weights[g]
-            limits = [threshold(acc / sum(row)) for acc in accumulate(row)]
-            for _ in range(amount):
-                draw(g, bisect_right(limits, next(words)))
-    header = config.dimension, config.num_groups, config.num_labels
-    dataset = Dataset._of_records(*header, tuple(groups), tuple(labels), b"".join(records))
+        if any(n < 0 for n in group_counts):
+            raise ValueError("group counts must be nonnegative")
+        limits = [
+            threshold(acc / sum(row)) for row in config.cell_weights for acc in accumulate(row)
+        ]
+        spans = [(g * labels_count, (g + 1) * labels_count, n) for g, n in enumerate(group_counts)]
+    # Cell c = g * labels + y is bisected in its own group's limits: all of
+    # them on the i.i.d. path, group g's on the fixed-count path.
+    lows = chain.from_iterable(repeat(low, n) for low, _, n in spans)
+    highs = chain.from_iterable(repeat(high, n) for _, high, n in spans)
+    count = sum(n for *_, n in spans)
+
+    # A record starts with its cell's wire prefix: its ids, then its one-hot
+    # block.
+    pack = struct.Struct(f"<HH{labels_count}i").pack
+    labels_range = range(labels_count)
+    one_hot = [[fx.ONE if j == y else -fx.ONE for j in labels_range] for y in labels_range]
+    prefixes = [pack(g, y, *one_hot[y]) for g in range(config.num_groups) for y in labels_range]
+    key = derive_key(config.seed, "data")
+    sample_bytes = max(8 * per, 4 + 4 * config.dimension)  # its words, or its record
+    batch = WORDS_PER_BLOCK * max(1, _BATCH_BYTES // (WORDS_PER_BLOCK * sample_bytes))
+    cells, chunks = [], []
+    for first in range(0, count, batch):
+        n = min(batch, count - first)
+        stream = stream_bytes(key, first * per // WORDS_PER_BLOCK, -(-n * per // WORDS_PER_BLOCK))
+        draws = _words(stream, "Q")[: n * per : per]
+        drawn = list(map(bisect_right, repeat(limits), draws, islice(lows, n), islice(highs, n)))
+        chunks.append(_planted_records(prefixes, drawn, stream[: 8 * n * per], per))
+        cells += drawn
+    groups = tuple(map(floordiv, cells, repeat(labels_count)))
+    labels = tuple(map(mod, cells, repeat(labels_count)))
+    header = config.dimension, config.num_groups, labels_count
+    dataset = Dataset._of_records(*header, groups, labels, b"".join(chunks))
     return dataset, planted_model(config), true_gaps(config)
+
+
+def _planted_records(
+    prefixes: Sequence[bytes], cells: Sequence[int], stream: bytes, per: int
+) -> bytes:
+    """The records of samples drawn into these cells, whose words are
+    `stream`, `per` words a sample: a cell word, then the noise words.
+
+    Every record is written a byte column at a time, through extended
+    slices. A noise value v = (u mod 2**17) - 2**16 has the low 16 bits of
+    u, and its high 16 bits are all ones when bit 16 of u is clear (v < 0),
+    all zeros when it is set. So every word's little-endian value is four
+    byte moves away, with no int built: bytes 0 and 1 of the word are
+    copied, and byte 2 (whose bit 0 is bit 16 of u) sets bytes 2 and 3. The
+    noise values are then copied into the records a byte column at a time,
+    or a row at a time when that takes fewer copies.
+    """
+    count, head = len(cells), len(prefixes[0])
+    size, row = head + 4 * (per - 1), 4 * per  # bytes per record, value bytes per sample
+    heads = b"".join(map(prefixes.__getitem__, cells))
+    if per == 1:
+        return heads
+    values = bytearray(row * count)  # the cell word's value too, never read
+    values[0::4], values[1::4] = stream[0::8], stream[1::8]
+    values[2::4] = values[3::4] = stream[2::8].translate(_SIGNS)
+
+    records = bytearray(size * count)
+    for j in range(head):
+        records[j::size] = heads[j::head]
+    if size - head <= count:
+        for j in range(head, size):
+            records[j::size] = values[j - head + 4 :: row]
+    else:
+        for i in range(count):
+            records[i * size + head : (i + 1) * size] = values[i * row + 4 : (i + 1) * row]
+    return bytes(records)

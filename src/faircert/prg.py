@@ -3,10 +3,11 @@
 Block i of the stream is SHA3-256(key || i as 8-byte little-endian), so a
 (key, index) pair always yields the same draws regardless of platform,
 process, or call order. Each block is read as four little-endian 64-bit
-words, in order; `stream_words` is the one definition of that stream, and
-`CounterPrg` and the bulk consumers (the augmentor, the planted generator)
-all read it. All simulation randomness in the package (planted data, label
-flips, augmentation noise) flows through this module.
+words, in order. `stream_bytes` is the one definition of that stream: the
+planted generator reads its bytes directly, and `stream_words` unpacks them
+for `CounterPrg` and the augmentor. All simulation randomness in the
+package (planted data, label flips, augmentation noise) flows through this
+module.
 
 A draw u is compared with a probability p exactly, as u / 2**64 < p, through
 the integer `threshold(p)`: for an integer u, u * den < num * 2**64 holds
@@ -19,14 +20,13 @@ import hashlib
 import math
 import struct
 from fractions import Fraction
-from itertools import chain, count, islice
+from itertools import islice
 from typing import Iterator
 
 _U64 = 1 << 64
 _TWO_PI = 2.0 * math.pi
 _COUNTER = struct.Struct("<Q")
 WORDS_PER_BLOCK = 4
-CHUNK_BLOCKS = 256
 _BLOCK = struct.Struct(f"<{WORDS_PER_BLOCK}Q")
 
 
@@ -40,22 +40,21 @@ def hash_u64(*parts: bytes) -> int:
     return int.from_bytes(hashlib.sha3_256(b"".join(parts)).digest()[:8], "little")
 
 
-def stream_words(key: bytes, start: int, blocks: int) -> tuple[int, ...]:
-    """The words of blocks start .. start + blocks - 1 of key's stream, four
-    per block, in stream order."""
+def stream_bytes(key: bytes, start: int, blocks: int) -> bytes:
+    """Blocks start .. start + blocks - 1 of key's stream, 32 bytes each, in
+    stream order."""
     sha3, pack = hashlib.sha3_256, _COUNTER.pack
     if blocks == 1:
-        return _BLOCK.unpack(sha3(key + pack(start)).digest())
-    data = b"".join([sha3(key + pack(i)).digest() for i in range(start, start + blocks)])
+        return sha3(key + pack(start)).digest()
+    return b"".join([sha3(key + pack(i)).digest() for i in range(start, start + blocks)])
+
+
+def stream_words(key: bytes, start: int, blocks: int) -> tuple[int, ...]:
+    """The words of those blocks, four per block, in stream order."""
+    data = stream_bytes(key, start, blocks)
+    if blocks == 1:
+        return _BLOCK.unpack(data)
     return struct.unpack(f"<{WORDS_PER_BLOCK * blocks}Q", data)
-
-
-def iter_words(key: bytes) -> Iterator[int]:
-    """key's stream word by word, hashed CHUNK_BLOCKS blocks at a time (at
-    most that many blocks beyond the last word read are hashed)."""
-    return chain.from_iterable(
-        stream_words(key, start, CHUNK_BLOCKS) for start in count(0, CHUNK_BLOCKS)
-    )
 
 
 def ints_below(words: Iterator[int], n: int, amount: int, low: int = 0) -> list[int]:

@@ -391,7 +391,7 @@ def test_criterion_09_augmentor_laws(capsys):
             not problems,
             "; ".join(problems)
             if problems
-            else f"laws hold on {len(dataset.samples)} samples",
+            else f"laws hold on {len(dataset.groups)} samples",
             elapsed,
             10.0,
         )

@@ -3,13 +3,15 @@ import math
 import pickle
 import struct
 from fractions import Fraction
+from itertools import accumulate, chain
 
 import pytest
 from conftest import mutated, returns_or_raises
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faircert import fixedpoint as fx
+from faircert import model as model_module
 from faircert.model import (
     DATASET_MAGIC,
     BiasedModel,
@@ -33,6 +35,7 @@ from faircert.model import (
     serialize_model,
     true_gaps,
 )
+from faircert.prg import CounterPrg, derive_key, threshold
 
 ONE = fx.ONE
 
@@ -58,6 +61,16 @@ def test_linear_predict_argmax():
     assert predict(model, Sample((0, ONE), 0, 0)) == 1
     # bias 0.5 on label 1 wins when features tie
     assert predict(model, Sample((ONE, ONE), 0, 0)) == 1
+
+
+def test_predict_refuses_a_feature_that_is_not_an_int32():
+    linear = golden_linear()
+    biased = BiasedModel(linear, (Fraction(1, 2),), b"\x01" * 8)
+    for model in (linear, biased):
+        for bad in (2**31, -(2**31) - 1, 0.5):
+            with pytest.raises(ValueError, match="feature outside the signed 32-bit range"):
+                predict(model, Sample((0, bad), 0, 0))
+        assert predict(model, Sample((fx.INT32_MAX, fx.INT32_MIN), 0, 0)) in (0, 1)
 
 
 def test_linear_tie_breaks_to_lowest_label():
@@ -484,6 +497,80 @@ def test_group_counts_exact():
 def test_generate_rejects_bad_group_counts():
     with pytest.raises(ValueError):
         generate_planted(quarter_config(), 0, group_counts=(10,))
+
+
+def test_generate_refuses_a_negative_size_before_hashing(monkeypatch):
+    def no_stream(*args):
+        raise AssertionError("the stream was hashed")
+
+    monkeypatch.setattr(model_module, "stream_bytes", no_stream)
+    with pytest.raises(ValueError, match="m must be nonnegative"):
+        generate_planted(quarter_config(), -1)
+    with pytest.raises(ValueError, match="group counts must be nonnegative"):
+        generate_planted(quarter_config(), 0, group_counts=(-5, 10))
+
+
+def reference_planted(config, m, group_counts):
+    """generate_planted as a per-sample loop over CounterPrg: one u64 for the
+    cell, compared with the integer thresholds of the cumulative weights,
+    then noise_dims draws, each u % 2**17 - ONE."""
+    prg = CounterPrg(derive_key(config.seed, "data"))
+    labels = config.num_labels
+
+    def sample(cumulative, group_of):
+        u = prg.u64()
+        cell = next(c for c, acc in enumerate(cumulative) if u < threshold(acc))
+        group, label = group_of(cell)
+        one_hot = tuple(ONE if j == label else -ONE for j in range(labels))
+        noise = tuple(prg.u64() % (2 * ONE) - ONE for _ in range(config.noise_dims))
+        return Sample(one_hot + noise, group, label)
+
+    if group_counts is None:
+        cumulative = list(accumulate(chain.from_iterable(config.cell_weights)))
+        samples = [sample(cumulative, lambda c: divmod(c, labels)) for _ in range(m)]
+    else:
+        samples = []
+        for g, count in enumerate(group_counts):
+            row = config.cell_weights[g]
+            cumulative = [acc / sum(row) for acc in accumulate(row)]
+            samples += [sample(cumulative, lambda c: (g, c)) for _ in range(count)]
+    return Dataset(config.dimension, config.num_groups, labels, samples)
+
+
+@st.composite
+def planted_cases(draw):
+    """A config with 1-4 groups x 1-4 labels, zero-weight cells allowed, and
+    either an i.i.d. size or per-group counts that may be zero."""
+    groups, labels = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    weights = st.lists(st.integers(0, 3), min_size=labels, max_size=labels)
+    grid = [draw(weights) for _ in range(groups)]
+    for row in grid:
+        row[draw(st.integers(0, labels - 1))] += 1  # every group carries mass
+    total = sum(map(sum, grid))
+    config = PlantedConfig(
+        cell_weights=tuple(tuple(Fraction(w, total) for w in row) for row in grid),
+        error_rates=(Fraction(0),) * groups,
+        seed=draw(st.binary(min_size=8, max_size=8)),
+        noise_dims=draw(st.sampled_from((0, 1, 5, 774))),
+    )
+    if draw(st.booleans()):
+        return config, draw(st.integers(0, 40)), None
+    counts = draw(st.lists(st.integers(0, 15), min_size=groups, max_size=groups))
+    return config, 0, tuple(counts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted_cases(), st.sampled_from((32, 512, model_module._BATCH_BYTES)))
+def test_generate_planted_matches_a_per_sample_loop(case, batch_bytes):
+    # Small batches put batch edges inside groups, and make the noise go
+    # through both the column and the row copy.
+    config, m, group_counts = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_module, "_BATCH_BYTES", batch_bytes)
+        dataset = generate_planted(config, m, group_counts=group_counts)[0]
+    expected = reference_planted(config, m, group_counts)
+    assert (dataset.groups, dataset.labels) == (expected.groups, expected.labels)
+    assert dataset.records == expected.records
 
 
 def test_planted_cell_frequencies_chi_squared():

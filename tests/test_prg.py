@@ -1,18 +1,15 @@
 import hashlib
 from fractions import Fraction
-from itertools import islice
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from faircert.prg import (
-    CHUNK_BLOCKS,
-    WORDS_PER_BLOCK,
     CounterPrg,
     derive_key,
     hash_u64,
     ints_below,
-    iter_words,
+    stream_bytes,
     stream_words,
     threshold,
 )
@@ -166,16 +163,9 @@ def test_stream_words_equal_repeated_u64(key, start, blocks):
     for _ in range(4 * start):
         prg.u64()
     assert list(stream_words(key, start, blocks)) == [prg.u64() for _ in range(4 * blocks)]
-
-
-@settings(max_examples=20)
-@given(
-    st.binary(min_size=1, max_size=24),
-    st.integers(min_value=0, max_value=3 * WORDS_PER_BLOCK * CHUNK_BLOCKS),
-)
-def test_iter_words_equal_repeated_u64(key, amount):
-    prg = CounterPrg(key)
-    assert list(islice(iter_words(key), amount)) == [prg.u64() for _ in range(amount)]
+    counters = range(start, start + blocks)
+    blocks_hashed = [hashlib.sha3_256(key + i.to_bytes(8, "little")).digest() for i in counters]
+    assert stream_bytes(key, start, blocks) == b"".join(blocks_hashed)
 
 
 @given(probabilities, st.integers(min_value=0, max_value=U64 - 1))
