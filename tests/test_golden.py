@@ -9,12 +9,12 @@ import io
 import struct
 from fractions import Fraction
 
-from conftest import certification_setup
+from conftest import CHEAP_SPEC, KEY_SEED, certification_setup
 
 from faircert import fixedpoint as fx
 from faircert.augmentor import AugmentorConfig, augment_dataset
 from faircert.cli import main
-from faircert.crypto import Certificate
+from faircert.crypto import Certificate, issue_certificate, keygen, merkle_root
 from faircert.dealer import encode_test_bundle
 from faircert.experiments import run_coverage, write_coverage_csv
 from faircert.fairness import FairnessMetric, FairnessSpec
@@ -30,7 +30,13 @@ from faircert.model import (
     predict,
 )
 from faircert.prg import CounterPrg
-from faircert.protocol import run_certification_local
+from faircert.protocol import (
+    AcceptedPrediction,
+    Client,
+    Server,
+    run_certification_local,
+    run_inference_local,
+)
 
 AUG = AugmentorConfig(
     master_seed=b"\x77" * 8,
@@ -143,6 +149,44 @@ def test_biased_predictions():
         seed=b"\x2a" * 8,
     )
     assert labels_digest(biased, planted_set()) == "e95eda3aa07fb30281e430c78cbb5eaecb67eb90a237d3c6ae5c762bbe9aa012"
+
+
+# Certified inference: the dealer's transcript and leakage log, every
+# recorded channel's wire bytes and the accepted prediction, for a query
+# whose features sit at the int32 edges, against each architecture.
+INFER_QUERY = (fx.INT32_MAX, fx.INT32_MIN, 0, -fx.ONE, 3 * fx.ONE // 2, 7)
+INFER_CASES = {
+    "linear": "c5e2ae2f602ed31b9a6db5cfd6ebae6af9cf93fb6e7cca8a7d6d73243c613f9e",
+    "lookup": "0b43082b90a57ccdbdb1acfc105c5a233f6850e23303f58ee8b0fd313a9c1044",
+    "biased": "102a4e2cdf3ddf600f43677d974472f23cb101300f2b19e4445950ef69f1116d",
+}
+
+
+def _inference_bytes(kind: str) -> bytes:
+    model = {
+        "linear": WIDE,
+        "lookup": LookupModel(dimension=6, num_labels=3, table=(2, 0, 1, 1, 0, 2, 1)),
+        "biased": BiasedModel(
+            inner=WIDE, flip_rates=(Fraction(1, 2), Fraction(1, 5)), seed=b"\x2b" * 8
+        ),
+    }[kind]
+    server = Server(model)
+    pair = keygen(KEY_SEED)
+    server.certificate = issue_certificate(pair, merkle_root(server.model_bytes), CHEAP_SPEC)
+    run = run_inference_local(Client(INFER_QUERY, pair.verification_key, CHEAP_SPEC), server)
+    result = run.client_result
+    assert isinstance(result, AcceptedPrediction)
+    lines = run.session.transcript_lines() + [
+        f"{entry.party} {entry.name} {entry.length}" for entry in run.session.leakage_log
+    ]
+    wires = [name.encode() + run.recorders[name].wire_transcript() for name in sorted(run.recorders)]
+    outcome = struct.pack("<H", result.label) + result.model_digest
+    return "\n".join(lines).encode() + b"".join(wires) + outcome
+
+
+def test_inference_transcripts():
+    digests = {kind: sha3(_inference_bytes(kind)) for kind in INFER_CASES}
+    assert digests == INFER_CASES
 
 
 def test_coverage_csv():
