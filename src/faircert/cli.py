@@ -307,7 +307,12 @@ def cmd_infer(args) -> int:
             vk = fh.read()
     else:
         vk = keygen(_signing_seed(args.seed)).verification_key
-    client = Client(_parse_features(args.features), vk, spec)
+    features = _parse_features(args.features)
+    try:
+        client = Client(features, vk, spec)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_PRECONDITION
 
     if args.role == "client":
         with ExitStack() as stack:

@@ -9,10 +9,17 @@ next level unchanged.
 Certificates are Ed25519 signatures over a fixed message layout binding the
 model digest to the fairness parameters it was certified for. Signing is
 deterministic, so certificate bytes are reproducible from the same key.
+
+Verification is a pure function of its three byte strings, and a client
+querying one server checks the same signature over the same message every
+time, so the last few answers are kept in an LRU keyed by those exact
+bytes: a repeated check returns what a fresh one would, without the curve
+arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -33,6 +40,7 @@ CHUNK_BYTES = 64
 DIGEST_BYTES = 32
 KEY_BYTES = 32
 SIGNATURE_BYTES = 64
+_SIGNATURES_KEPT = 16  # (key, message, signature) answers verify keeps
 CERT_MAGIC = b"FCRT1"
 
 _LEAF_PREFIX = b"\x00"
@@ -107,6 +115,11 @@ def verify(verification_key: bytes, message: bytes, signature: bytes) -> bool:
         raise MalformedKeyError("verification key must be 32 bytes")
     if len(signature) != SIGNATURE_BYTES:
         return False
+    return _verified(bytes(verification_key), bytes(message), bytes(signature))
+
+
+@functools.lru_cache(maxsize=_SIGNATURES_KEPT)
+def _verified(verification_key: bytes, message: bytes, signature: bytes) -> bool:
     try:
         Ed25519PublicKey.from_public_bytes(verification_key).verify(signature, message)
         return True
@@ -138,7 +151,9 @@ def encode_fairness_spec(spec: FairnessSpec) -> bytes:
     )
 
 
-def decode_fairness_spec(data: bytes, offset: int = 0) -> tuple[FairnessSpec, int]:
+def decode_fairness_spec(
+    data: bytes | memoryview, offset: int = 0
+) -> tuple[FairnessSpec, int]:
     """Parse a spec encoding; returns (spec, offset past it)."""
     try:
         metric_id, eps, delta, alpha = struct.unpack_from("<BIII", data, offset)
@@ -159,7 +174,7 @@ def decode_fairness_spec(data: bytes, offset: int = 0) -> tuple[FairnessSpec, in
             epsilon=micro_fraction(eps),
             delta=micro_fraction(delta),
             alpha=None if alpha == _ALPHA_ABSENT else micro_fraction(alpha),
-            fairness_string=fs.decode("utf-8"),
+            fairness_string=str(fs, "utf-8"),
         )
     except (ValueError, UnicodeDecodeError) as exc:
         raise MalformedCertificateError(str(exc)) from exc

@@ -18,15 +18,25 @@ session with EMPTY_CELL; every cell is checked before any pair, so the
 verdict does not depend on the order of the groups. The inference circuit
 returns the model's label for one query plus the Merkle digest of the model
 bytes actually used, which is what lets the client check the certificate
-afterwards. Both circuits take that digest from one bounded memo keyed by
-the exact model bytes (at most four of them), so a server answering query
-after query pays for its root once. A second memo of the same bound keeps
-the parsed model, with the kernel it compiles on first use, so the dealer
-retains at most four parsed models and parses and compiles each once.
+afterwards. It scores the query's wire bytes as they arrived: a query is a
+u32 dimension and that many int32s, which is a record whose 4 head bytes
+the kernel skips.
+
+A server sends the same model bytes every session, so the dealer keeps what
+it derives from them in one memo, keyed by the exact bytes: the transcript
+digest of the server's input, the parsed model with the kernel it compiles
+on first use, and the Merkle root. Each is computed once, when first
+needed, and equal bytes give equal values, so no output changes. The memo
+is an LRU of at most four model byte strings, and a session holds the
+memo's copy of its server input, so each model's bytes are kept once. A
+model that does not parse raises each time it is asked for, so it aborts
+every session it is sent in.
 
 The decoded test set stays in its wire form, as every Dataset does: the
 dealer keeps the bundle's packed records (about 4 + 4d bytes per sample, a
-view of the session's input bytes) and the group and label columns, and
+view of the session's input, which is itself a view of the payload of the
+frame that carried it, so the bundle is held once) and the group and label
+columns, and
 the batch kernel and the augmentor unpack each feature row as they read it.
 No row of the regulator's set is kept, where a row tuple would take about
 224 bytes per sample at d = 4.
@@ -61,15 +71,16 @@ from .model import (
     MalformedDatasetError,
     MalformedModelError,
     ModelSpec,
-    Sample,
     decode_dataset,
     encode_dataset,
     deserialize_model,
+    pack_record,
     parameter_count,
-    predict,
     predict_batch,
+    predict_record,
     serialize_model,
 )
+from .model import predict  # noqa: F401  (the single-sample form; bench/ traces it here)
 
 CIRCUIT_CERT = 1
 CIRCUIT_INFER = 2
@@ -122,7 +133,7 @@ def encode_test_bundle(
 
 
 def decode_test_bundle(
-    data: bytes,
+    data: bytes | memoryview,
 ) -> tuple[FairnessSpec, Dataset, AugmentorConfig | None]:
     """Inverse of encode_test_bundle; any malformed part raises
     MalformedDatasetError."""
@@ -137,7 +148,7 @@ def decode_test_bundle(
     aug = None
     if mode == MODE_AUGMENTED_BYTE:
         try:
-            aug = AugmentorConfig.decode(data[offset : offset + 24])
+            aug = AugmentorConfig.decode(bytes(data[offset : offset + 24]))
         except ValueError as exc:
             raise MalformedDatasetError(f"bundle augmentor config: {exc}") from exc
         offset += 24
@@ -181,18 +192,24 @@ def certification_decision(spec: FairnessSpec, table: GroupRiskTable) -> bool:
 
 
 def encode_query(features: tuple[int, ...]) -> bytes:
-    return struct.pack("<I", len(features)) + struct.pack(
-        f"<{len(features)}i", *features
-    )
+    """u32 dimension, then the features as int32s; ValueError for a feature
+    that is not an int32."""
+    return pack_record(len(features), features)
 
 
-def decode_query(data: bytes) -> tuple[int, ...]:
+def query_dimension(data: bytes) -> int:
+    """The dimension a query declares; ValueError unless the query holds
+    exactly that many int32s after it."""
     if len(data) < 4:
         raise ValueError("query too short")
     (dim,) = struct.unpack_from("<I", data, 0)
     if len(data) != 4 + 4 * dim:
         raise ValueError("query length does not match its dimension")
-    return struct.unpack_from(f"<{dim}i", data, 4)
+    return dim
+
+
+def decode_query(data: bytes) -> tuple[int, ...]:
+    return struct.unpack_from(f"<{query_dimension(data)}i", data, 4)
 
 
 # Circuits: each is one function of the server's input and the checker's
@@ -202,38 +219,45 @@ def decode_query(data: bytes) -> tuple[int, ...]:
 
 _Parts = list[tuple[str, bytes]]
 
-_MODELS_KEPT = 4  # model byte strings each dealer memo keeps
+_MODELS_KEPT = 4  # model byte strings the dealer's memo keeps
+
+
+class _ServedModel:
+    """What the dealer derives from one model byte string, each part
+    computed on first use and then kept with the bytes.
+
+    deserialize_model and merkle_root are looked up at call time, so a
+    wrapper installed on this module's names sees every computation.
+    """
+
+    def __init__(self, model_bytes: bytes):
+        self.model_bytes = model_bytes
+
+    @functools.cached_property
+    def input_digest(self) -> str:
+        """The transcript digest of the bytes as a session input."""
+        return hashlib.sha3_256(self.model_bytes).hexdigest()
+
+    @functools.cached_property
+    def model(self) -> ModelSpec:
+        """The model the bytes encode; a malformed model raises SessionAbort
+        every time it is asked for, since nothing is kept for it."""
+        if len(self.model_bytes) < MODEL_HEADER_BYTES:
+            raise SessionAbort(ABORT_SIZE_MISMATCH)
+        try:
+            return deserialize_model(self.model_bytes)
+        except MalformedModelError:
+            raise SessionAbort(ABORT_MALFORMED_MODEL) from None
+
+    @functools.cached_property
+    def root(self) -> bytes:
+        """The Merkle root of the bytes: the digest a certificate names."""
+        return merkle_root(self.model_bytes)
 
 
 @functools.lru_cache(maxsize=_MODELS_KEPT)
-def _parse_model(model_bytes: bytes) -> ModelSpec:
-    """The model the exact bytes encode, compiled kernel and all.
-
-    Kept as _model_digest keeps roots, for the last few byte strings: a
-    parsed model is immutable and compiles its kernel once, on first use,
-    so a server answering query after query pays for both once. A malformed
-    model raises and is never kept. deserialize_model is looked up at call
-    time, so a wrapper installed on this module's name sees every miss.
-    """
-    if len(model_bytes) < MODEL_HEADER_BYTES:
-        raise SessionAbort(ABORT_SIZE_MISMATCH)
-    try:
-        return deserialize_model(model_bytes)
-    except MalformedModelError:
-        raise SessionAbort(ABORT_MALFORMED_MODEL) from None
-
-
-@functools.lru_cache(maxsize=_MODELS_KEPT)
-def _model_digest(model_bytes: bytes) -> bytes:
-    """Merkle root of the exact model bytes a circuit evaluated.
-
-    A server answering queries sends the same bytes every session, and the
-    root is most of an inference's cost, so the last few roots are kept,
-    keyed by the bytes themselves: equal bytes give an equal root, so no
-    output changes. merkle_root is looked up at call time, so a wrapper
-    installed on this module's name sees every miss.
-    """
-    return merkle_root(model_bytes)
+def _served(model_bytes: bytes) -> _ServedModel:
+    return _ServedModel(model_bytes)
 
 
 def _certify(model_bytes: bytes, bundle_bytes: bytes) -> tuple[_Parts, _Parts]:
@@ -243,7 +267,8 @@ def _certify(model_bytes: bytes, bundle_bytes: bytes) -> tuple[_Parts, _Parts]:
         raise SessionAbort(ABORT_SIZE_MISMATCH) from None
     if not dataset.groups:
         raise SessionAbort(ABORT_SIZE_MISMATCH)
-    model = _parse_model(model_bytes)
+    served = _served(model_bytes)
+    model = served.model
     if model.dimension != dataset.dimension:
         raise SessionAbort(ABORT_DIMENSION_MISMATCH)
     if isinstance(model, BiasedModel) and len(model.flip_rates) < dataset.num_groups:
@@ -259,25 +284,26 @@ def _certify(model_bytes: bytes, bundle_bytes: bytes) -> tuple[_Parts, _Parts]:
         raise SessionAbort(ABORT_EMPTY_CELL) from None
     checker: _Parts = [
         ("fair_bit", b"\x01" if fair else b"\x00"),
-        ("model_digest", _model_digest(model_bytes)),
+        ("model_digest", served.root),
     ]
     return [], checker
 
 
 def _infer(model_bytes: bytes, query_bytes: bytes) -> tuple[_Parts, _Parts]:
     try:
-        features = decode_query(query_bytes)
+        dimension = query_dimension(query_bytes)
     except ValueError:
         raise SessionAbort(ABORT_SIZE_MISMATCH) from None
-    model = _parse_model(model_bytes)
-    if len(features) != model.dimension:
+    served = _served(model_bytes)
+    if dimension != served.model.dimension:
         raise SessionAbort(ABORT_DIMENSION_MISMATCH)
-    # A query carries no group; a wrapper model served for inference flips
-    # by its first group's rate. Deployed models are linear or lookup.
-    label = predict(model, Sample(features=tuple(features), group=0, label=0))
+    # The query is one record as it stands. It carries no group; a wrapper
+    # model served for inference flips by its first group's rate. Deployed
+    # models are linear or lookup.
+    label = predict_record(served.model, query_bytes, 0)
     checker: _Parts = [
         ("prediction", struct.pack("<H", label)),
-        ("model_digest", _model_digest(model_bytes)),
+        ("model_digest", served.root),
     ]
     return [], checker
 
@@ -316,19 +342,23 @@ class FscSession:
         self.abort_reason: str | None = None
         self.leakage_log: list[LeakageEntry] = []
         self.transcript: list[TranscriptEntry] = []
-        self._inputs: dict[int, bytes | None] = {PARTY_SERVER: None, PARTY_CHECKER: None}
+        self._inputs: dict[int, bytes | memoryview | None] = {
+            PARTY_SERVER: None,
+            PARTY_CHECKER: None,
+        }
         self._requests: dict[int, int | None] = {PARTY_SERVER: None, PARTY_CHECKER: None}
         self._outputs: dict[int, _Parts] = {}
         self._delivered: dict[int, bool] = {PARTY_SERVER: False, PARTY_CHECKER: False}
 
-    def _record(self, party: str, kind: str, payload: bytes) -> None:
+    def _record(self, party: str, kind: str, payload: bytes, digest: str | None = None) -> None:
+        """Append an entry; digest, when given, is the payload's SHA3-256 hex."""
         self.transcript.append(
             TranscriptEntry(
                 seq=len(self.transcript),
                 party=party,
                 kind=kind,
                 length=len(payload),
-                digest=hashlib.sha3_256(payload).hexdigest(),
+                digest=digest or hashlib.sha3_256(payload).hexdigest(),
             )
         )
 
@@ -336,12 +366,20 @@ class FscSession:
         if party not in (PARTY_SERVER, PARTY_CHECKER):
             raise ValueError(f"unknown party {party}")
 
-    def input(self, party: int, payload: bytes) -> None:
+    def input(self, party: int, payload: bytes | memoryview) -> None:
+        """Take a party's input. The session keeps bytes, or a view of an
+        immutable bytes object, and copies any other buffer."""
         self._check_party(party)
         if self.state != STATE_AWAITING_INPUT or self._inputs[party] is not None:
             raise WrongStateError(f"cannot accept input in state {self.state}")
-        self._inputs[party] = bytes(payload)
-        self._record(_party_name(party), "input", payload)
+        digest = None
+        if party == PARTY_SERVER:  # model bytes, in both circuits
+            served = _served(bytes(payload))
+            payload, digest = served.model_bytes, served.input_digest
+        elif not isinstance(memoryview(payload).obj, bytes):
+            payload = bytes(payload)  # no view into a buffer the caller may change
+        self._inputs[party] = payload
+        self._record(_party_name(party), "input", payload, digest)
         if all(v is not None for v in self._inputs.values()):
             self.state = STATE_READY
 

@@ -340,11 +340,11 @@ ModelSpec = Union[LinearModel, LookupModel, BiasedModel]
 
 # The prediction kernel. Each model object compiles itself once, on first
 # use, into a function from a dataset's packed records (and its group ids)
-# to labels; predict() is that kernel over one packed sample, predict_batch()
-# over a dataset. The linear and lookup kernels read the records as an int32
-# array (see _words): feature j of record i is item i * (d + 1) + 1 + j, so a
-# feature column is one strided slice of it, and only the columns a model
-# uses are read.
+# to labels; predict_record() is that kernel over one record, predict() over
+# one packed sample, predict_batch() over a dataset. The linear and lookup
+# kernels read the records as an int32 array (see _words): feature j of
+# record i is item i * (d + 1) + 1 + j, so a feature column is one strided
+# slice of it, and only the columns a model uses are read.
 
 Records = Union[bytes, memoryview]
 Kernel = Callable[[Records, Sequence[int]], list[int]]
@@ -483,6 +483,21 @@ def predict_batch(model: ModelSpec, dataset: Dataset) -> list[int]:
     return model._kernel(dataset.records, dataset.groups)
 
 
+def pack_record(head: int, features: Sequence[int]) -> bytes:
+    """One record as the kernels read it: a u32 head they skip (a dataset
+    record's two u16 ids, a query's dimension), then the features as
+    int32s. A feature that is not an int32 raises ValueError."""
+    try:
+        return struct.pack(f"<I{len(features)}i", head, *features)
+    except struct.error as exc:
+        raise ValueError("feature outside the signed 32-bit range") from exc
+
+
+def predict_record(model: ModelSpec, record: Records, group: int) -> int:
+    """The label of one record of the model's dimension, in the given group."""
+    return model._kernel(record, (group,))[0]
+
+
 def predict(model: ModelSpec, sample: Sample) -> int:
     """Deterministic label for a sample; pure in (model bytes, sample).
     Features are raw Q16.16 values and must be int32s, as in a Dataset; the
@@ -491,11 +506,7 @@ def predict(model: ModelSpec, sample: Sample) -> int:
         raise DimensionMismatchError(
             f"sample has {len(sample.features)} features, model wants {model.dimension}"
         )
-    try:
-        record = struct.pack(f"<4x{model.dimension}i", *sample.features)
-    except struct.error as exc:
-        raise ValueError("feature outside the signed 32-bit range") from exc
-    return model._kernel(record, (sample.group,))[0]
+    return predict_record(model, pack_record(0, sample.features), sample.group)
 
 
 def _header(arch: int, dimension: int, num_labels: int) -> bytes:

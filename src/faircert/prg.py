@@ -20,8 +20,6 @@ import hashlib
 import math
 import struct
 from fractions import Fraction
-from itertools import islice
-from typing import Iterator
 
 _U64 = 1 << 64
 _TWO_PI = 2.0 * math.pi
@@ -55,19 +53,6 @@ def stream_words(key: bytes, start: int, blocks: int) -> tuple[int, ...]:
     if blocks == 1:
         return _BLOCK.unpack(data)
     return struct.unpack(f"<{WORDS_PER_BLOCK * blocks}Q", data)
-
-
-def ints_below(words: Iterator[int], n: int, amount: int, low: int = 0) -> list[int]:
-    """`amount` uniform ints in [low, low + n). Each is low plus the next
-    word below the largest multiple of n that fits in 2**64, reduced mod n;
-    words at or above that multiple are rejected (none are, and none are
-    tested, when n divides 2**64)."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    limit = _U64 - (_U64 % n)
-    if limit < _U64:
-        words = filter(limit.__gt__, words)
-    return [u % n + low for u in islice(words, amount)]
 
 
 def threshold(prob: Fraction) -> int:
@@ -113,8 +98,16 @@ class CounterPrg:
         return cumulative[-1][1]
 
     def int_below(self, n: int) -> int:
-        """Uniform int in [0, n) by rejection, exact."""
-        return ints_below(iter(self.u64, None), n, 1)[0]
+        """Uniform int in [0, n), exact: the next word below the largest
+        multiple of n that fits in 2**64, reduced mod n. Words at or above
+        that multiple are rejected (none are when n divides 2**64)."""
+        if n <= 0:
+            raise ValueError("n must be positive")
+        limit = _U64 - _U64 % n
+        u = self.u64()
+        while u >= limit:
+            u = self.u64()
+        return u % n
 
     def gauss(self) -> float:
         """Standard normal via Box-Muller on two 64-bit uniforms."""

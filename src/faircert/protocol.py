@@ -485,7 +485,10 @@ class Client:
     """Demands a spec, queries the model, verifies the certificate."""
 
     def __init__(self, features: tuple[int, ...], verification_key: bytes, spec: FairnessSpec):
+        """ValueError for a feature that is not an int32, before any
+        channel opens."""
         self.features = tuple(features)
+        self.query = encode_query(self.features)
         self.verification_key = verification_key
         self.spec = spec
 
@@ -507,7 +510,7 @@ class Client:
         chan_f = dealer_factory()
         _hello(chan_f, ROLE_CLIENT, ROLE_DEALER)
         chan_f.send_frame(
-            Frame(FRAME_COMPUTE_INPUT, bytes([CIRCUIT_INFER]) + encode_query(self.features))
+            Frame(FRAME_COMPUTE_INPUT, bytes([CIRCUIT_INFER]) + self.query)
         )
         result = chan_f.recv_frame()
         if result.type == FRAME_ABORT:
@@ -554,8 +557,8 @@ def serve_dealer(channel_a, channel_b) -> FscSession:
         if frame.type != FRAME_COMPUTE_INPUT or not frame.payload:
             raise ProtocolError("expected a compute input frame")
         circuit_ids[party] = frame.payload[0]
-        session.input(party, frame.payload[1:])
-    del frame  # the session holds its own copy of each input
+        session.input(party, memoryview(frame.payload)[1:])
+    del frame  # the session holds each input: a view of its frame's payload
     for party in (PARTY_SERVER, PARTY_CHECKER):
         session.compute(party, circuit_ids[party])
         if session.state == STATE_ABORTED:

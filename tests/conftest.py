@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from faircert import dealer
+from faircert import crypto, dealer
 from faircert.crypto import keygen
 from faircert.fairness import FairnessMetric, FairnessSpec
 from faircert.model import PlantedConfig, generate_planted
@@ -27,10 +27,11 @@ CHEAP_REQUIRED = 30  # per-group bound for CHEAP_SPEC at gap 0
 
 @pytest.fixture(autouse=True)
 def fresh_dealer_memos():
-    """Each test starts with empty dealer memos, so every parse and root a
-    test counts, or a failure it plants in deserialize_model, is its own."""
-    dealer._parse_model.cache_clear()
-    dealer._model_digest.cache_clear()
+    """Each test starts with empty memos, so every parse, root and signature
+    check a test counts, or a failure it plants in deserialize_model, is its
+    own."""
+    dealer._served.cache_clear()
+    crypto._verified.cache_clear()
 
 
 def quarter_config(rates=(Fraction(0), Fraction(0)), seed=b"\x51" * 8):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from faircert import cli
 from faircert.cli import main
 from faircert.crypto import Certificate, verify_certificate
 from faircert.model import PlantedConfig, decode_dataset, deserialize_model
@@ -282,6 +283,22 @@ def test_infer_wrong_key_exits_2(tmp_path, config_path, capsys):
     )
     assert code == 2
     assert "rejected: SIG_INVALID" in capsys.readouterr().out
+
+
+def test_infer_refuses_a_feature_outside_int32_before_connecting(monkeypatch, capsys):
+    dialled = []
+    monkeypatch.setattr(cli, "connect_channel", lambda *args: dialled.append(args))
+    code = main(
+        [
+            "infer", "--role", "client",
+            "--connect", "127.0.0.1:9", "--dealer", "127.0.0.1:9",
+            "--eps", "0.5", "--delta", "0.2", "--seed", "5",
+            "--features", "32768,0,0,0",  # 2**31 in Q16.16
+        ]
+    )
+    assert code == 3
+    assert dialled == []
+    assert "feature outside the signed 32-bit range" in capsys.readouterr().err
 
 
 # --- certification and inference over TCP, one thread per role ------------------------

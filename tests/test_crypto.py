@@ -7,6 +7,7 @@ from conftest import mutated, returns_or_raises, specs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faircert import crypto
 from faircert.crypto import (
     CHUNK_BYTES,
     Certificate,
@@ -152,6 +153,44 @@ def test_key_length_validation():
         verify(b"short", b"m", bytes(64))
     with pytest.raises(MalformedKeyError):
         key_id(b"short")
+
+
+@given(st.sampled_from(("key", "message", "signature")), st.data())
+def test_verify_memo_answers_only_the_exact_bytes(part, data):
+    # A success is kept; a one-byte change to any of the three strings is
+    # another key of the memo, and answers False as a fresh check does.
+    pair = keygen(SEED)
+    parts = {"key": pair.verification_key, "message": b"certified model digest"}
+    parts["signature"] = sign(pair.signing_key, parts["message"])
+    for _ in range(2):
+        assert verify(parts["key"], parts["message"], parts["signature"]) is True
+    changed = bytearray(parts[part])
+    changed[data.draw(st.integers(0, len(changed) - 1))] ^= data.draw(st.integers(1, 255))
+    parts[part] = bytes(changed)
+    for _ in range(2):
+        assert verify(parts["key"], parts["message"], parts["signature"]) is False
+
+
+def test_verify_memo_keeps_answers_from_earlier_checks():
+    pair = keygen(SEED)
+    message = b"m"
+    signature = sign(pair.signing_key, message)
+    crypto._verified.cache_clear()
+    for _ in range(3):
+        assert verify(pair.verification_key, message, signature)
+        assert not verify(pair.verification_key, message + b"!", signature)
+    info = crypto._verified.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+
+
+def test_verify_refuses_a_short_key_every_time():
+    pair = keygen(SEED)
+    message = b"m"
+    signature = sign(pair.signing_key, message)
+    assert verify(pair.verification_key, message, signature)
+    for _ in range(3):
+        with pytest.raises(MalformedKeyError):
+            verify(pair.verification_key[:31], message, signature)
 
 
 def test_key_id_is_hash_of_key():

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,7 @@ from faircert.model import (
     Dataset,
     MalformedDatasetError,
     LinearModel,
+    LookupModel,
     PlantedConfig,
     Sample,
     generate_planted,
@@ -270,6 +272,27 @@ def test_honest_cert_session_outputs():
     assert host.passed
 
 
+def test_session_keeps_views_of_bytes_and_copies_other_buffers():
+    model_bytes, bundle, _, _ = planted_inputs()
+    reference = run_cert(model_bytes, bundle)
+    expected = (reference.output(PARTY_CHECKER), reference.transcript_lines())
+
+    view = memoryview(bundle)[0:]
+    session = run_cert(model_bytes, view)
+    assert session._inputs[PARTY_CHECKER] is view  # held as given, not copied
+    assert (session.output(PARTY_CHECKER), session.transcript_lines()) == expected
+
+    model_buffer, bundle_buffer = bytearray(model_bytes), bytearray(bundle)
+    session = FscSession()
+    session.input(PARTY_SERVER, model_buffer)
+    session.input(PARTY_CHECKER, memoryview(bundle_buffer))
+    model_buffer[:] = bytes(len(model_buffer))  # the caller's changes do not reach it
+    bundle_buffer[:] = bytes(len(bundle_buffer))
+    session.compute(PARTY_SERVER, CIRCUIT_CERT)
+    session.compute(PARTY_CHECKER, CIRCUIT_CERT)
+    assert (session.output(PARTY_CHECKER), session.transcript_lines()) == expected
+
+
 def test_cert_bit_zero_when_undersampled():
     model_bytes, bundle, _, _ = planted_inputs(
         group_counts=(CHEAP_REQUIRED - 1, CHEAP_REQUIRED)
@@ -434,6 +457,80 @@ def test_abort_infer_dimension():
         abort_reason_of(model_bytes, encode_query((fx.ONE,)), circuit=CIRCUIT_INFER)
         == ABORT_DIMENSION_MISMATCH
     )
+
+
+INT32_EDGES = (
+    fx.INT32_MIN, fx.INT32_MIN + 1, -fx.ONE, -1, 0, 1, fx.ONE, fx.INT32_MAX - 1, fx.INT32_MAX
+)
+
+
+@st.composite
+def served_queries(draw):
+    """(model, query): a linear, lookup or biased model of dimension 1-784
+    and a query for it, with weights and features often at the int32 edges."""
+    dimension = draw(st.integers(1, 784))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def value():
+        if rng.random() < 0.3:
+            return rng.choice(INT32_EDGES)
+        return rng.randint(fx.INT32_MIN, fx.INT32_MAX)
+
+    def sparse():
+        return tuple(value() if rng.random() < 0.05 else 0 for _ in range(dimension))
+
+    num_labels = draw(st.integers(1, 3))
+    linear = LinearModel(
+        dimension,
+        num_labels,
+        tuple(sparse() for _ in range(num_labels)),
+        tuple(value() for _ in range(num_labels)),
+    )
+    arch = draw(st.sampled_from(("linear", "lookup", "biased")))
+    if arch == "lookup":
+        size = draw(st.integers(1, 9))
+        table = tuple(rng.randrange(num_labels) for _ in range(size))
+        model = LookupModel(dimension, num_labels, table)
+    elif arch == "biased":
+        rates = tuple(Fraction(rng.randrange(4), 4) for _ in range(draw(st.integers(1, 3))))
+        model = BiasedModel(linear, rates, rng.randbytes(8))
+    else:
+        model = linear
+    return model, encode_query(tuple(value() for _ in range(dimension)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(served_queries())
+def test_infer_scores_the_query_bytes_as_predict_scores_the_decoded_query(case):
+    model, query = case
+    model_bytes = serialize_model(model)
+    server_out, checker_out = dealer._infer(model_bytes, query)
+    parts = dict(checker_out)
+    assert server_out == []
+    label = predict(model, Sample(decode_query(query), 0, 0))
+    assert parts["prediction"] == struct.pack("<H", label)
+    assert parts["model_digest"] == merkle_root(model_bytes)
+
+
+@pytest.mark.parametrize(
+    "query, reason",
+    [
+        (b"", ABORT_SIZE_MISMATCH),
+        (b"\x03\x00\x00", ABORT_SIZE_MISMATCH),  # shorter than the dimension field
+        (encode_query((0, fx.ONE, 0))[:-1], ABORT_SIZE_MISMATCH),  # length mismatch
+        (encode_query((0, fx.ONE, 0)) + bytes(4), ABORT_SIZE_MISMATCH),
+        (struct.pack("<I", 2**32 - 1), ABORT_SIZE_MISMATCH),
+        (struct.pack("<I", 0), ABORT_DIMENSION_MISMATCH),  # dimension 0
+        (encode_query((fx.ONE,)), ABORT_DIMENSION_MISMATCH),  # wrong dimension
+        (encode_query((0,) * 4), ABORT_DIMENSION_MISMATCH),
+    ],
+)
+def test_malformed_queries_abort(query, reason):
+    model_bytes = serialize_model(LinearModel(3, 2, ((fx.ONE, 0, 0), (0, fx.ONE, 0)), (0, 0)))
+    assert abort_reason_of(model_bytes, query, circuit=CIRCUIT_INFER) == reason
+    # The query is checked before the model, as the reasons show.
+    if reason == ABORT_SIZE_MISMATCH:
+        assert abort_reason_of(b"NOTRIGHT" + bytes(32), query, circuit=CIRCUIT_INFER) == reason
 
 
 def test_abort_recorded_in_transcript():

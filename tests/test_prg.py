@@ -8,7 +8,6 @@ from faircert.prg import (
     CounterPrg,
     derive_key,
     hash_u64,
-    ints_below,
     stream_bytes,
     stream_words,
     threshold,
@@ -210,14 +209,14 @@ def test_choose_weighted_agrees_with_the_fraction_scan(weights, draw):
         ),
         max_size=30,
     ),
-    st.integers(min_value=-5, max_value=5),
 )
-def test_ints_below_rejects_like_int_below(n, words, low):
+def test_int_below_rejects_words_above_the_limit(n, words):
     # Words near 2**64 sit above the largest multiple of n that fits, for
-    # most n, and are rejected; the reference is the sequential loop.
+    # most n, and are rejected; the reference is the sequential loop. The
+    # draws stop at the last accepted word.
     limit = U64 - U64 % n
-    accepted = [u % n + low for u in words if u < limit]
-    amount = len(accepted)
-    assert ints_below(iter(words), n, amount, low) == accepted
+    accepted = [u % n for u in words if u < limit]
+    kept = [i for i, u in enumerate(words) if u < limit]
     prg = FixedPrg(words)
-    assert [prg.int_below(n) + low for _ in range(amount)] == accepted
+    assert [prg.int_below(n) for _ in accepted] == accepted
+    assert prg._draws == (words[kept[-1] + 1 :] if kept else words)

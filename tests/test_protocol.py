@@ -573,6 +573,23 @@ def test_query_never_reaches_the_server():
     assert server.model_bytes not in client_saw
 
 
+@pytest.mark.parametrize("bad", (2**31, -(2**31) - 1, 0.5))
+def test_client_refuses_a_feature_outside_int32_before_any_channel(bad):
+    server, _, pair = linear_server()
+    opened = []
+
+    def factory():
+        opened.append(True)
+        raise AssertionError("no channel may open")
+
+    with pytest.raises(ValueError, match="feature outside the signed 32-bit range"):
+        Client((0, bad, 0), pair.verification_key, CHEAP_SPEC).infer(factory, factory)
+    assert opened == []
+    # The int32 edges themselves are served.
+    client = Client((fx.INT32_MIN, fx.INT32_MAX, 0), pair.verification_key, CHEAP_SPEC)
+    assert isinstance(run_inference_local(client, server).client_result, AcceptedPrediction)
+
+
 def test_inference_parses_each_model_once_across_sessions(monkeypatch):
     parses = _count_calls(monkeypatch, dealer, "deserialize_model")
     server, _, pair = linear_server()
@@ -606,7 +623,7 @@ def test_inference_roots_each_model_once_keyed_by_its_exact_bytes(monkeypatch):
     assert sum(a != b for a, b in zip(base.model_bytes, one_byte_off.model_bytes)) == 1
     client = Client((0, fx.ONE, 0), pair.verification_key, CHEAP_SPEC)
     for link in LINKS:
-        dealer._model_digest.cache_clear()
+        dealer._served.cache_clear()
         roots.clear()
         for _ in range(3):
             for server in (base, other, one_byte_off):
