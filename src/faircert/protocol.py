@@ -487,8 +487,7 @@ class Client:
     def __init__(self, features: tuple[int, ...], verification_key: bytes, spec: FairnessSpec):
         """ValueError for a feature that is not an int32, before any
         channel opens."""
-        self.features = tuple(features)
-        self.query = encode_query(self.features)
+        self.query = encode_query(tuple(features))
         self.verification_key = verification_key
         self.spec = spec
 
