@@ -25,8 +25,10 @@ from faircert.crypto import (
     verify,
     verify_certificate,
 )
+from faircert.dealer import decode_test_bundle, encode_test_bundle
 from faircert.fairness import FairnessMetric, FairnessSpec
-from faircert.model import LinearModel, serialize_model
+from faircert.model import Dataset, LinearModel, MalformedDatasetError, serialize_model
+from faircert.protocol import ProtocolError, decode_cert_request, encode_cert_request
 
 SEED = bytes(range(32))
 
@@ -231,6 +233,42 @@ def test_spec_decode_rejects_malformed():
     bad_metric[0] = 7
     with pytest.raises(MalformedCertificateError):
         decode_fairness_spec(bytes(bad_metric))
+
+
+def foreign_tag_spec(metric_id, alpha, tag):
+    """A spec encoding whose fields are all in range but whose tag is not
+    the one its metric and mode name."""
+    return struct.pack("<BIIIH", metric_id, 100_000, 50_000, alpha, len(tag)) + tag
+
+
+FOREIGN_TAGS = (
+    foreign_tag_spec(0, 0xFFFFFFFF, b"eo-private"),  # ORE id, EO tag
+    foreign_tag_spec(0, 200_000, b"ore-private"),  # alpha present, private tag
+    foreign_tag_spec(0, 0xFFFFFFFF, b"\xff\xfeore"),  # not UTF-8
+)
+
+
+@pytest.mark.parametrize("enc", FOREIGN_TAGS)
+def test_spec_decode_rejects_a_foreign_tag(enc):
+    with pytest.raises(MalformedCertificateError):
+        decode_fairness_spec(enc)
+    good = issue_certificate(keygen(SEED), model_digest(), spec_of()).to_bytes()
+    spec_len = len(encode_fairness_spec(spec_of()))
+    head = len(crypto.CERT_MAGIC) + crypto.DIGEST_BYTES
+    with pytest.raises(MalformedCertificateError):
+        Certificate.from_bytes(good[:head] + enc + good[head + spec_len :])
+
+
+@pytest.mark.parametrize("enc", FOREIGN_TAGS)
+def test_a_foreign_tag_is_refused_inside_a_request_and_a_bundle(enc):
+    spec_len = len(encode_fairness_spec(spec_of()))
+    request = encode_cert_request(spec_of(), 100, None)
+    with pytest.raises(ProtocolError):
+        decode_cert_request(enc + request[spec_len:])
+    dataset = Dataset.from_columns(2, 2, 2, ((1, 2), (3, 4)), (0, 1), (1, 0))
+    bundle = encode_test_bundle(spec_of(), dataset)
+    with pytest.raises(MalformedDatasetError):
+        decode_test_bundle(enc + bundle[spec_len:])
 
 
 # --- certificates ----------------------------------------------------------------
