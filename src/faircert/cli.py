@@ -204,9 +204,8 @@ def cmd_gen_model(args) -> int:
 def _load_config(args) -> PlantedConfig:
     with open(args.config, "r", encoding="utf-8") as fh:
         config = PlantedConfig.from_json(fh.read())
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, seed=derive_key(_seed_bytes(args.seed), "data"))
-    return config
+    # --seed always has a value, so it always replaces the config's own seed.
+    return replace(config, seed=derive_key(_seed_bytes(args.seed), "data"))
 
 
 def _failure_exit(label: str, reason: str) -> int:

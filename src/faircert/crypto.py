@@ -174,10 +174,14 @@ def decode_fairness_spec(
             epsilon=micro_fraction(eps),
             delta=micro_fraction(delta),
             alpha=None if alpha == _ALPHA_ABSENT else micro_fraction(alpha),
-            fairness_string=str(fs, "utf-8"),
         )
-    except (ValueError, UnicodeDecodeError) as exc:
+    except ValueError as exc:
         raise MalformedCertificateError(str(exc)) from exc
+    if fs != spec.fairness_string.encode("utf-8"):
+        raise MalformedCertificateError(
+            f"fairness string {bytes(fs)!r} does not match the metric/mode "
+            f"({spec.fairness_string!r})"
+        )
     return spec, offset
 
 

@@ -2,10 +2,11 @@
 
 A session takes one private input from each party, runs a named circuit once
 both have asked for the same one, and hands each party only its designated
-output. The session records two things auditors care about: a leakage log
-(every datum actually delivered, to whom, and its size) and a timestamp-free
-transcript of the messages (input / compute / output / abort) suitable for
-line-oriented audit files.
+output; a request for an unknown circuit, or for one the other party did not
+name, aborts the session. The session records two things auditors care
+about: a leakage log (every datum actually delivered, to whom, and its size)
+and a timestamp-free transcript of the messages (input / compute / output /
+abort) suitable for line-oriented audit files.
 
 Two circuits exist, each one function of the two inputs: it parses both
 once, aborts on an input it cannot use, and evaluates. The certification
@@ -100,16 +101,13 @@ ABORT_EMPTY_CELL = "EMPTY_CELL"
 ABORT_DIMENSION_MISMATCH = "DIMENSION_MISMATCH"
 ABORT_GROUP_MISMATCH = "GROUP_MISMATCH"
 ABORT_LABEL_MISMATCH = "LABEL_MISMATCH"
+ABORT_CIRCUIT_MISMATCH = "CIRCUIT_MISMATCH"
 
 MODE_PRIVATE_BYTE = 0
 MODE_AUGMENTED_BYTE = 1
 
 
 class WrongStateError(RuntimeError):
-    pass
-
-
-class CircuitMismatchError(ValueError):
     pass
 
 
@@ -389,17 +387,16 @@ class FscSession:
         self._record("F", "abort", reason.encode("ascii"))
 
     def compute(self, party: int, circuit_id: int) -> None:
-        """Record a compute request; runs the circuit once both agree."""
+        """Record a compute request; runs the circuit once both agree. An
+        unknown circuit, or one the other party did not name, aborts the
+        session with CIRCUIT_MISMATCH."""
         self._check_party(party)
         if self.state != STATE_READY:
             raise WrongStateError(f"compute requires READY, session is {self.state}")
         other = self._requests[PARTY_CHECKER if party == PARTY_SERVER else PARTY_SERVER]
-        if other is not None and other != circuit_id:
-            raise CircuitMismatchError(
-                f"parties disagree on the circuit ({other} vs {circuit_id})"
-            )
-        if circuit_id not in _CIRCUITS:
-            raise CircuitMismatchError(f"unknown circuit id {circuit_id}")
+        if circuit_id not in _CIRCUITS or other not in (None, circuit_id):
+            self._abort(ABORT_CIRCUIT_MISMATCH)
+            return
         self._requests[party] = circuit_id
         self._record(_party_name(party), "compute", bytes([circuit_id]))
         if any(v is None for v in self._requests.values()):

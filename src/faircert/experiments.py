@@ -86,11 +86,6 @@ def write_coverage_csv(fh, results: Sequence[TrialResult]) -> None:
     )
 
 
-def _accuracy(dataset: Dataset, predictions: Sequence[int]) -> Fraction:
-    correct = sum(1 for y, p in zip(dataset.labels, predictions) if y == p)
-    return Fraction(correct, len(predictions))
-
-
 @dataclass(frozen=True)
 class AttackPoint:
     tau: float
@@ -142,7 +137,7 @@ def knn_attack_sweep(
         points.append(
             AttackPoint(
                 tau=tau,
-                accuracy=_accuracy(eval_dataset, predictions),
+                accuracy=Fraction(table.total - sum(table.err_g), table.total),
                 efg=empirical_gap(table, FairnessMetric.ORE),
                 routed_unfair_fraction=Fraction(sum(routed), len(predictions)),
             )
@@ -180,12 +175,11 @@ def augmentation_sweep(
     for degree in degrees:
         aug = replace(base_aug, degree=degree)
         augmented = augment_dataset(aug, dataset)
-        predictions = predict_batch(model, augmented)
-        table = build_risk_table(augmented, predictions)
+        table = build_risk_table(augmented, predict_batch(model, augmented))
         points.append(
             SweepPoint(
                 degree=degree,
-                accuracy=_accuracy(augmented, predictions),
+                accuracy=Fraction(table.total - sum(table.err_g), table.total),
                 efg=empirical_gap(table, FairnessMetric.ORE),
             )
         )

@@ -11,9 +11,10 @@ also how they travel on the wire.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
@@ -86,10 +87,6 @@ MODE_PRIVATE = "private"
 MODE_AUGMENTED = "augmented"
 
 
-def canonical_fairness_string(metric: FairnessMetric, augmented: bool) -> str:
-    return f"{metric.value}-{MODE_AUGMENTED if augmented else MODE_PRIVATE}"
-
-
 def _check_unit_interval(name: str, value: Fraction) -> None:
     if not (0 < value < 1):
         raise ValueError(f"{name} must lie strictly between 0 and 1")
@@ -101,34 +98,28 @@ class FairnessSpec:
     """What is being certified: metric, tolerance and confidence.
 
     alpha present means the augmented test: the empirical gap on augmented
-    data is compared against alpha instead of epsilon. fairness_string is a
-    human-readable tag that uniquely determines (metric, mode); it defaults
-    to the canonical form and anything else is rejected.
+    data is compared against alpha instead of epsilon.
     """
 
     metric: FairnessMetric
     epsilon: Fraction
     delta: Fraction
     alpha: Fraction | None = None
-    fairness_string: str = field(default="")
 
     def __post_init__(self) -> None:
         _check_unit_interval("epsilon", self.epsilon)
         _check_unit_interval("delta", self.delta)
         if self.alpha is not None:
             _check_unit_interval("alpha", self.alpha)
-        canonical = canonical_fairness_string(self.metric, self.alpha is not None)
-        if not self.fairness_string:
-            object.__setattr__(self, "fairness_string", canonical)
-        elif self.fairness_string != canonical:
-            raise ValueError(
-                f"fairness_string {self.fairness_string!r} does not match "
-                f"the metric/mode ({canonical!r})"
-            )
 
     @property
     def augmented(self) -> bool:
         return self.alpha is not None
+
+    @property
+    def fairness_string(self) -> str:
+        """The human-readable tag naming the metric and mode, e.g. "ore-private"."""
+        return f"{self.metric.value}-{MODE_AUGMENTED if self.augmented else MODE_PRIVATE}"
 
     @property
     def threshold(self) -> Fraction:
@@ -138,41 +129,51 @@ class FairnessSpec:
 
 @dataclass(frozen=True)
 class GroupRiskTable:
-    """Integer counts summarizing predictions against a labelled test set.
+    """Integer counts summarizing predictions against a labelled test set,
+    one row per group and one column per label.
 
-    m_g / err_g: per-group sample and misclassification counts.
-    m_gy / err_gy: the same split by true label.
+    m_gy: samples of each true label within each group.
+    err_gy: the misclassified ones among them.
     pred_gy: how often each label was predicted within each group.
+    The shape and the per-group totals m_g and err_g are read off these.
     """
 
-    num_groups: int
-    num_labels: int
-    m_g: tuple[int, ...]
-    err_g: tuple[int, ...]
     m_gy: tuple[tuple[int, ...], ...]
     err_gy: tuple[tuple[int, ...], ...]
     pred_gy: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.num_groups < 1 or self.num_labels < 1:
+        if not self.m_gy or not self.m_gy[0]:
             raise ValueError("need at least one group and one label")
-        for name in ("m_g", "err_g", "m_gy", "err_gy", "pred_gy"):
-            if len(getattr(self, name)) != self.num_groups:
-                raise LengthMismatchError(f"{name} must have one entry per group")
-        for g in range(self.num_groups):
-            for name in ("m_gy", "err_gy", "pred_gy"):
-                if len(getattr(self, name)[g]) != self.num_labels:
-                    raise LengthMismatchError(f"{name}[{g}] must have one entry per label")
-            if any(v < 0 for v in self.m_gy[g] + self.err_gy[g] + self.pred_gy[g]):
+        for name in ("m_gy", "err_gy", "pred_gy"):
+            grid = getattr(self, name)
+            if len(grid) != self.num_groups or any(len(row) != self.num_labels for row in grid):
+                raise LengthMismatchError(f"{name} must be num_groups rows of num_labels counts")
+        for m_row, err_row, pred_row in zip(self.m_gy, self.err_gy, self.pred_gy):
+            if any(v < 0 for v in m_row + err_row + pred_row):
                 raise ValueError("counts must be nonnegative")
-            if sum(self.m_gy[g]) != self.m_g[g]:
-                raise LengthMismatchError("label counts must sum to the group count")
-            if sum(self.pred_gy[g]) != self.m_g[g]:
-                raise LengthMismatchError("prediction counts must sum to the group count")
-            if sum(self.err_gy[g]) != self.err_g[g]:
-                raise LengthMismatchError("per-label errors must sum to the group errors")
-            if any(e > m for e, m in zip(self.err_gy[g], self.m_gy[g])):
+            if any(e > m for e, m in zip(err_row, m_row)):
                 raise ValueError("errors cannot exceed counts")
+            if sum(pred_row) != sum(m_row):
+                raise LengthMismatchError("prediction counts must sum to the group count")
+
+    @property
+    def num_groups(self) -> int:
+        return len(self.m_gy)
+
+    @property
+    def num_labels(self) -> int:
+        return len(self.m_gy[0])
+
+    @functools.cached_property
+    def m_g(self) -> tuple[int, ...]:
+        """Samples per group."""
+        return tuple(sum(row) for row in self.m_gy)
+
+    @functools.cached_property
+    def err_g(self) -> tuple[int, ...]:
+        """Misclassified samples per group."""
+        return tuple(sum(row) for row in self.err_gy)
 
     @property
     def total(self) -> int:
@@ -197,15 +198,7 @@ def build_risk_table(dataset: "Dataset", predictions: Sequence[int]) -> GroupRis
         pred_gy[g][pred] += count
         if pred != y:
             err_gy[g][y] += count
-    return GroupRiskTable(
-        num_groups=num_g,
-        num_labels=num_y,
-        m_g=tuple(sum(row) for row in m_gy),
-        err_g=tuple(sum(row) for row in err_gy),
-        m_gy=tuple(tuple(row) for row in m_gy),
-        err_gy=tuple(tuple(row) for row in err_gy),
-        pred_gy=tuple(tuple(row) for row in pred_gy),
-    )
+    return GroupRiskTable(*(tuple(map(tuple, grid)) for grid in (m_gy, err_gy, pred_gy)))
 
 
 def comparison_cells(
@@ -316,17 +309,6 @@ class TestReport:
     passed: bool
     failure_reason: str | None = None
 
-    def to_lines(self) -> list[str]:
-        lines = [
-            f"decision: {'pass' if self.passed else 'fail'}",
-            f"efg: {self.efg}",
-            f"required: {'-' if self.per_group_required is None else self.per_group_required}",
-            f"actual: {','.join(str(c) for c in self.per_group_actual)}",
-        ]
-        if self.failure_reason:
-            lines.append(f"reason: {self.failure_reason}")
-        return lines
-
 
 def decide(spec: FairnessSpec, table: GroupRiskTable) -> TestReport:
     """Certification decision: gap strictly below the threshold and every
@@ -337,25 +319,9 @@ def decide(spec: FairnessSpec, table: GroupRiskTable) -> TestReport:
     efg = empirical_gap(table, spec.metric)
     counts = relevant_counts(table, spec.metric)
     if efg >= spec.threshold:
-        return TestReport(
-            efg=efg,
-            per_group_required=None,
-            per_group_actual=counts,
-            passed=False,
-            failure_reason=REASON_GAP_TOO_LARGE,
-        )
+        return TestReport(efg, None, counts, False, REASON_GAP_TOO_LARGE)
     required = min_samples(spec, efg, table.num_groups, table.num_labels)
-    if min(counts) < required:
-        return TestReport(
-            efg=efg,
-            per_group_required=required,
-            per_group_actual=counts,
-            passed=False,
-            failure_reason=REASON_INSUFFICIENT_SAMPLES,
-        )
+    enough = min(counts) >= required
     return TestReport(
-        efg=efg,
-        per_group_required=required,
-        per_group_actual=counts,
-        passed=True,
+        efg, required, counts, enough, None if enough else REASON_INSUFFICIENT_SAMPLES
     )

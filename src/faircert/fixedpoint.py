@@ -33,10 +33,6 @@ def from_float(x: float) -> int:
     return saturate(int(round(x * ONE)))
 
 
-def to_float(raw: int) -> float:
-    return raw / ONE
-
-
 def add(a: int, b: int) -> int:
     return saturate(a + b)
 

@@ -80,10 +80,6 @@ class CounterPrg:
         self._pos = pos + 1
         return self._words[pos]
 
-    def uniform(self) -> float:
-        """Float in [0, 1)."""
-        return self.u64() / _U64
-
     def below(self, prob: Fraction) -> bool:
         """Exact Bernoulli(prob): one draw, compared with an integer
         threshold, no float rounding. A draw is consumed even when prob <= 0."""

@@ -96,6 +96,7 @@ _REJECT_CODES = {REASON_NOT_FAIR: 1, REASON_SIG_INVALID: 2, REASON_SPEC_MISMATCH
 _REJECT_BY_CODE = {v: k for k, v in _REJECT_CODES.items()}
 
 DEFAULT_TIMEOUT = 30.0
+CONNECT_RETRY_S = 5.0
 
 
 class ProtocolError(Exception):
@@ -677,10 +678,9 @@ def accept_channel(listener: socket.socket, timeout: float = DEFAULT_TIMEOUT) ->
     return SocketChannel(conn, timeout)
 
 
-def connect_channel(
-    host: str, port: int, timeout: float = DEFAULT_TIMEOUT, retry_for: float = 5.0
-) -> SocketChannel:
-    deadline = time.monotonic() + retry_for
+def connect_channel(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> SocketChannel:
+    """Connect, retrying a refused or failed attempt for CONNECT_RETRY_S."""
+    deadline = time.monotonic() + CONNECT_RETRY_S
     while True:
         try:
             sock = socket.create_connection((host, port), timeout=timeout)

@@ -168,15 +168,7 @@ def _random_table(prg: CounterPrg) -> GroupRiskTable:
         m_gy.append(counts)
         err_gy.append(errors)
         pred_gy.append(tuple(preds))
-    return GroupRiskTable(
-        num_groups=num_groups,
-        num_labels=num_labels,
-        m_g=tuple(sum(row) for row in m_gy),
-        err_g=tuple(sum(row) for row in err_gy),
-        m_gy=tuple(m_gy),
-        err_gy=tuple(err_gy),
-        pred_gy=tuple(pred_gy),
-    )
+    return GroupRiskTable(m_gy=tuple(m_gy), err_gy=tuple(err_gy), pred_gy=tuple(pred_gy))
 
 
 def test_criterion_05_circuit_host_equivalence(capsys):

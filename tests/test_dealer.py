@@ -12,6 +12,7 @@ from faircert import fixedpoint as fx
 from faircert.augmentor import AugmentorConfig, augment_dataset
 from faircert.crypto import merkle_root
 from faircert.dealer import (
+    ABORT_CIRCUIT_MISMATCH,
     ABORT_DIMENSION_MISMATCH,
     ABORT_EMPTY_CELL,
     ABORT_GROUP_MISMATCH,
@@ -26,7 +27,6 @@ from faircert.dealer import (
     STATE_AWAITING_INPUT,
     STATE_COMPUTED,
     STATE_DELIVERED,
-    CircuitMismatchError,
     FscSession,
     SessionAbort,
     WrongStateError,
@@ -347,15 +347,24 @@ def test_input_state_errors():
 
 
 def test_compute_requires_matching_circuits():
+    # A circuit the other party did not name, or no circuit at all, aborts
+    # before the request is recorded; the session's last entry is the abort.
     model_bytes, bundle, _, _ = planted_inputs()
-    session = FscSession()
-    session.input(PARTY_SERVER, model_bytes)
-    session.input(PARTY_CHECKER, bundle)
-    session.compute(PARTY_SERVER, CIRCUIT_CERT)
-    with pytest.raises(CircuitMismatchError):
-        session.compute(PARTY_CHECKER, CIRCUIT_INFER)
-    with pytest.raises(CircuitMismatchError):
-        session.compute(PARTY_CHECKER, 42)
+    for requests in (
+        ((PARTY_SERVER, CIRCUIT_CERT), (PARTY_CHECKER, CIRCUIT_INFER)),
+        ((PARTY_SERVER, CIRCUIT_CERT), (PARTY_CHECKER, 42)),
+        ((PARTY_SERVER, 7),),
+    ):
+        session = FscSession()
+        session.input(PARTY_SERVER, model_bytes)
+        session.input(PARTY_CHECKER, bundle)
+        for party, circuit_id in requests:
+            session.compute(party, circuit_id)
+        assert session.abort_reason == ABORT_CIRCUIT_MISMATCH
+        kinds = [(e.party, e.kind) for e in session.transcript]
+        assert kinds[2:] == [("P1", "compute")] * (len(requests) - 1) + [("F", "abort")]
+        with pytest.raises(SessionAbort):
+            session.output(PARTY_CHECKER)
 
 
 def test_output_delivered_once():

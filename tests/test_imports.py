@@ -2,12 +2,16 @@
 
 An import kept for a reason the code does not show, such as a name that
 other code looks up on the module, says so on its own line: "# noqa: F401"
-followed by the reason.
+followed by the reason. The names the benchmark's tracer wraps are checked
+here too, so that deleting or moving one fails without a traced run.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
+
+import faircert.experiments
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted((ROOT / "src" / "faircert").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
@@ -74,3 +78,16 @@ def test_the_check_finds_each_unused_import_without_a_reason():
         "from m import y\n"
     )
     assert unused_imports(source) == [(2, "math"), (3, "os"), (7, "Callable")]
+
+
+def test_every_name_the_bench_tracer_wraps_exists(monkeypatch):
+    # The tracer looks each one up with vars(owner)[attr] when it installs.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracing = importlib.import_module("tracing")
+    missing = []
+    for owner, attr, *_ in tracing._wrap_table(faircert):
+        try:
+            vars(owner)[attr]
+        except KeyError:
+            missing.append(f"{owner.__name__}.{attr}")
+    assert missing == []
