@@ -10,6 +10,8 @@ from faircert.crypto import keygen
 from faircert.fairness import FairnessMetric, FairnessSpec
 from faircert.model import PlantedConfig, generate_planted
 from faircert.protocol import (
+    FRAME_COMPUTE_INPUT,
+    Frame,
     Regulator,
     Server,
     accept_channel,
@@ -104,3 +106,33 @@ def returns_or_raises(decode, blobs, error):
             decode(blob)
         except error:
             pass
+
+
+class CircuitRenamer:
+    """A party's dealer channel whose compute input names circuit_id, as a
+    deviating party's might."""
+
+    def __init__(self, inner, circuit_id):
+        self._inner, self._circuit_id = inner, circuit_id
+
+    def send_frame(self, frame):
+        if frame.type == FRAME_COMPUTE_INPUT:
+            frame = Frame(frame.type, bytes([self._circuit_id]) + frame.payload[1:])
+        self._inner.send_frame(frame)
+
+    def recv_frame(self):
+        return self._inner.recv_frame()
+
+    def close(self):
+        self._inner.close()
+
+
+def naming_circuit(monkeypatch, role_class, method, circuit_id):
+    """Patch a role method (self, a peer argument, then a dealer factory)
+    so that the party's dealer input names circuit_id."""
+    role = getattr(role_class, method)
+    monkeypatch.setattr(
+        role_class,
+        method,
+        lambda self, peer, dealer: role(self, peer, lambda: CircuitRenamer(dealer(), circuit_id)),
+    )

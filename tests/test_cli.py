@@ -4,11 +4,13 @@ import threading
 from fractions import Fraction
 
 import pytest
+from conftest import naming_circuit
 
 from faircert import cli
 from faircert.cli import main
 from faircert.crypto import Certificate, verify_certificate
 from faircert.model import PlantedConfig, decode_dataset, deserialize_model
+from faircert.protocol import Server
 
 
 @pytest.fixture
@@ -382,6 +384,26 @@ def test_certify_over_tcp_not_fair_exits_2_on_both_parties(tmp_path, config_path
          "--model", str(model), *spec],
     ) == [0, 2, 2]
     assert lines_of(capsys).count("failed: NOT_FAIR") == 2
+
+
+def test_certify_over_tcp_wrong_circuit_exits_4_on_every_role(
+    tmp_path, config_path, capsys, monkeypatch
+):
+    data, model, _, _ = certified_setup(tmp_path, config_path, capsys)
+    capsys.readouterr()
+    naming_circuit(monkeypatch, Server, "serve_certification", 7)
+    spec = ["--eps", "0.5", "--delta", "0.2", "--seed", "5"]
+    dealer, host = free_endpoint(), free_endpoint()
+    assert run_roles(
+        ["certify", "--role", "dealer", "--listen", dealer, *spec],
+        ["certify", "--role", "regulator", "--listen", host, "--dealer", dealer,
+         "--data", str(data), *spec],
+        ["certify", "--role", "server", "--connect", host, "--dealer", dealer,
+         "--model", str(model), *spec],
+    ) == [4, 4, 4]
+    out = lines_of(capsys)
+    assert out.count("failed: FSC_ABORT") == 2
+    assert [line.split()[:3] for line in out if " F " in line] == [["2", "F", "abort"]]
 
 
 # --- gate estimates -----------------------------------------------------------------

@@ -11,6 +11,7 @@ from conftest import (
     KEY_SEED,
     certification_setup,
     mutated,
+    naming_circuit,
     quarter_config,
     returns_or_raises,
     specs,
@@ -380,34 +381,6 @@ def test_model_with_more_labels_than_the_bundle_aborts_both_parties():
         assert run.session.abort_reason == "LABEL_MISMATCH"
 
 
-class _CircuitRenamer:
-    """A party's dealer channel whose compute input names circuit_id, as a
-    deviating party's might."""
-
-    def __init__(self, inner, circuit_id):
-        self._inner, self._circuit_id = inner, circuit_id
-
-    def send_frame(self, frame):
-        if frame.type == FRAME_COMPUTE_INPUT:
-            frame = Frame(frame.type, bytes([self._circuit_id]) + frame.payload[1:])
-        self._inner.send_frame(frame)
-
-    def recv_frame(self):
-        return self._inner.recv_frame()
-
-    def close(self):
-        self._inner.close()
-
-
-def _naming_circuit(monkeypatch, party, method, circuit_id):
-    """Patch the party's role method (a peer argument, then a dealer factory)
-    so that its dealer input names circuit_id."""
-    role = getattr(type(party), method).__get__(party)
-    monkeypatch.setattr(
-        party, method, lambda peer, dealer: role(peer, lambda: _CircuitRenamer(dealer(), circuit_id))
-    )
-
-
 def test_a_wrong_circuit_byte_aborts_both_parties(monkeypatch):
     # An unknown circuit, or the other one, named by the server in a
     # certification or by the client in an inference.
@@ -416,13 +389,15 @@ def test_a_wrong_circuit_byte_aborts_both_parties(monkeypatch):
     client = Client((0, fx.ONE, 0), pair.verification_key, CHEAP_SPEC)
     for link in LINKS:
         for circuit_id in (7, CIRCUIT_INFER):
-            _naming_circuit(monkeypatch, server, "serve_certification", circuit_id)
-            run = run_certification_local(regulator, server, link=link)
+            with monkeypatch.context() as patch:
+                naming_circuit(patch, Server, "serve_certification", circuit_id)
+                run = run_certification_local(regulator, server, link=link)
             assert run.regulator_result == run.server_result == CertFailure(REASON_FSC_ABORT)
             assert run.session.abort_reason == "CIRCUIT_MISMATCH"
         for circuit_id in (7, CIRCUIT_CERT):
-            _naming_circuit(monkeypatch, client, "infer", circuit_id)
-            run = run_inference_local(client, serving, link=link)
+            with monkeypatch.context() as patch:
+                naming_circuit(patch, Client, "infer", circuit_id)
+                run = run_inference_local(client, serving, link=link)
             assert run.client_result == run.server_result == Reject(REASON_FSC_ABORT)
             assert run.session.abort_reason == "CIRCUIT_MISMATCH"
 
