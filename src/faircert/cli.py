@@ -223,21 +223,39 @@ def _load_server(model_path: str, cert_path: str | None = None) -> Server:
     return server
 
 
-def _connector(stack: ExitStack, endpoint: str):
-    """A channel factory that dials the host:port endpoint; the stack closes
-    every channel it opens."""
-    host, port = parse_endpoint(endpoint)
-    return lambda: stack.enter_context(closing(connect_channel(host, port)))
+def _endpoint(text: str) -> tuple[str, int]:
+    """The --listen, --connect and --dealer flag type: host:port."""
+    try:
+        return parse_endpoint(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _acceptor(stack: ExitStack, endpoint: str):
-    """A channel factory that accepts at the host:port endpoint, listening
-    from now on; the stack closes the listener and every channel it accepts."""
-    listener = stack.enter_context(closing(open_listener(*parse_endpoint(endpoint))))
+# The endpoint flags each TCP role needs; a missing one is a usage error.
+_ENDPOINT_FLAGS = {
+    ("certify", "dealer"): ("listen",),
+    ("certify", "regulator"): ("listen", "dealer"),
+    ("certify", "server"): ("connect", "dealer"),
+    ("infer", "dealer"): ("listen",),
+    ("infer", "server"): ("listen", "dealer"),
+    ("infer", "client"): ("connect", "dealer"),
+}
+
+
+def _connector(stack: ExitStack, endpoint: tuple[str, int]):
+    """A channel factory that dials the endpoint; the stack closes every
+    channel it opens."""
+    return lambda: stack.enter_context(closing(connect_channel(*endpoint)))
+
+
+def _acceptor(stack: ExitStack, endpoint: tuple[str, int]):
+    """A channel factory that accepts at the endpoint, listening from now
+    on; the stack closes the listener and every channel it accepts."""
+    listener = stack.enter_context(closing(open_listener(*endpoint)))
     return lambda: stack.enter_context(closing(accept_channel(listener)))
 
 
-def _serve_dealer(endpoint: str) -> FscSession:
+def _serve_dealer(endpoint: tuple[str, int]) -> FscSession:
     """Listen at the endpoint, accept both parties and run one dealer
     session over their channels; all three sockets are closed either way."""
     with ExitStack() as stack:
@@ -454,9 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--role", default="local", choices=["local", "regulator", "server", "dealer"])
     p.add_argument("--model", default=None)
     p.add_argument("--data", default=None)
-    p.add_argument("--listen", default=None, help="host:port to accept on")
-    p.add_argument("--connect", default=None, help="host:port to dial")
-    p.add_argument("--dealer", default=None, help="host:port of the dealer endpoint")
+    p.add_argument("--listen", type=_endpoint, default=None, help="host:port to accept on")
+    p.add_argument("--connect", type=_endpoint, default=None, help="host:port to dial")
+    p.add_argument("--dealer", type=_endpoint, default=None, help="host:port of the dealer")
     p.add_argument("--cert-out", default=None)
     p.add_argument("--vk-out", default=None)
 
@@ -467,9 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert", default=None)
     p.add_argument("--vk", default=None, help="regulator verification key file")
     p.add_argument("--features", default=None, help="query vector, comma decimals")
-    p.add_argument("--listen", default=None)
-    p.add_argument("--connect", default=None)
-    p.add_argument("--dealer", default=None)
+    p.add_argument("--listen", type=_endpoint, default=None)
+    p.add_argument("--connect", type=_endpoint, default=None)
+    p.add_argument("--dealer", type=_endpoint, default=None)
 
     p = add("estimate-gates", cmd_estimate_gates, help="commitment/inference gate costs")
     p.add_argument("--model", default=None)
@@ -509,7 +527,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    flags = _ENDPOINT_FLAGS.get((args.command, getattr(args, "role", None)), ())
+    missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
+    if missing:
+        parser.error(f"--role {args.role} needs {' and '.join(missing)}")
     return args.fn(args)
 
 

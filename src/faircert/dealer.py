@@ -1,12 +1,12 @@
 """Trusted-dealer emulation of the two-party secure computation.
 
-A session takes one private input from each party, runs a named circuit once
-both have asked for the same one, and hands each party only its designated
-output; a request for an unknown circuit, or for one the other party did not
-name, aborts the session. The session records two things auditors care
-about: a leakage log (every datum actually delivered, to whom, and its size)
-and a timestamp-free transcript of the messages (input / compute / output /
-abort) suitable for line-oriented audit files.
+A session runs the ideal functionality's one sequence: each party gives its
+input, both name the same circuit, and its output goes to the checking party
+alone; the model holder receives nothing. A request that names no circuit,
+an unknown one, or one the other party did not name aborts the session. The
+session records a leakage log (every datum delivered, to whom, and its size)
+and a timestamp-free transcript (input / compute / output / abort) suitable
+for line-oriented audit files.
 
 Two circuits exist, each one function of the two inputs: it parses both
 once, aborts on an input it cannot use, and evaluates. The certification
@@ -29,18 +29,17 @@ digest of the server's input, the parsed model with the kernel it compiles
 on first use, and the Merkle root. Each is computed once, when first
 needed, and equal bytes give equal values, so no output changes. The memo
 is an LRU of at most four model byte strings, and a session holds the
-memo's copy of its server input, so each model's bytes are kept once. A
-model that does not parse raises each time it is asked for, so it aborts
-every session it is sent in.
+memo's copy of its server input, so each model's bytes are kept once. An
+empty server input takes no slot. A model that does not parse raises each
+time it is asked for, so it aborts every session it is sent in.
 
 The decoded test set stays in its wire form, as every Dataset does: the
 dealer keeps the bundle's packed records (about 4 + 4d bytes per sample, a
 view of the session's input, which is itself a view of the payload of the
 frame that carried it, so the bundle is held once) and the group and label
-columns, and
-the batch kernel and the augmentor unpack each feature row as they read it.
-No row of the regulator's set is kept, where a row tuple would take about
-224 bytes per sample at d = 4.
+columns, and the batch kernel and the augmentor unpack each feature row as
+they read it. No row of the regulator's set is kept, where a row tuple
+would take about 224 bytes per sample at d = 4.
 """
 
 from __future__ import annotations
@@ -89,12 +88,6 @@ CIRCUIT_INFER = 2
 PARTY_SERVER = 1  # model holder
 PARTY_CHECKER = 2  # regulator (certification) or client (inference)
 
-STATE_AWAITING_INPUT = "AWAITING_INPUT"
-STATE_READY = "READY"
-STATE_COMPUTED = "COMPUTED"
-STATE_DELIVERED = "DELIVERED"
-STATE_ABORTED = "ABORTED"
-
 ABORT_SIZE_MISMATCH = "SIZE_MISMATCH"
 ABORT_MALFORMED_MODEL = "MALFORMED_MODEL"
 ABORT_EMPTY_CELL = "EMPTY_CELL"
@@ -105,10 +98,6 @@ ABORT_CIRCUIT_MISMATCH = "CIRCUIT_MISMATCH"
 
 MODE_PRIVATE_BYTE = 0
 MODE_AUGMENTED_BYTE = 1
-
-
-class WrongStateError(RuntimeError):
-    pass
 
 
 class SessionAbort(RuntimeError):
@@ -206,13 +195,9 @@ def query_dimension(data: bytes) -> int:
     return dim
 
 
-def decode_query(data: bytes) -> tuple[int, ...]:
-    return struct.unpack_from(f"<{query_dimension(data)}i", data, 4)
-
-
 # Circuits: each is one function of the server's input and the checker's
 # input. It parses both once, raises SessionAbort on an input it cannot use,
-# and returns the per-party outputs as named parts so deliveries can be
+# and returns the checker's output as named parts so deliveries can be
 # audited by name.
 
 _Parts = list[tuple[str, bytes]]
@@ -258,7 +243,7 @@ def _served(model_bytes: bytes) -> _ServedModel:
     return _ServedModel(model_bytes)
 
 
-def _certify(model_bytes: bytes, bundle_bytes: bytes) -> tuple[_Parts, _Parts]:
+def _certify(model_bytes: bytes, bundle_bytes: bytes) -> _Parts:
     try:
         spec, dataset, aug = decode_test_bundle(bundle_bytes)
     except ValueError:
@@ -280,14 +265,10 @@ def _certify(model_bytes: bytes, bundle_bytes: bytes) -> tuple[_Parts, _Parts]:
         fair = certification_decision(spec, table)
     except EmptyCellError:
         raise SessionAbort(ABORT_EMPTY_CELL) from None
-    checker: _Parts = [
-        ("fair_bit", b"\x01" if fair else b"\x00"),
-        ("model_digest", served.root),
-    ]
-    return [], checker
+    return [("fair_bit", b"\x01" if fair else b"\x00"), ("model_digest", served.root)]
 
 
-def _infer(model_bytes: bytes, query_bytes: bytes) -> tuple[_Parts, _Parts]:
+def _infer(model_bytes: bytes, query_bytes: bytes) -> _Parts:
     try:
         dimension = query_dimension(query_bytes)
     except ValueError:
@@ -299,11 +280,7 @@ def _infer(model_bytes: bytes, query_bytes: bytes) -> tuple[_Parts, _Parts]:
     # model served for inference flips by its first group's rate. Deployed
     # models are linear or lookup.
     label = predict_record(served.model, query_bytes, 0)
-    checker: _Parts = [
-        ("prediction", struct.pack("<H", label)),
-        ("model_digest", served.root),
-    ]
-    return [], checker
+    return [("prediction", struct.pack("<H", label)), ("model_digest", served.root)]
 
 
 _CIRCUITS = {CIRCUIT_CERT: _certify, CIRCUIT_INFER: _infer}
@@ -336,17 +313,12 @@ class FscSession:
     """One run of the ideal functionality between two parties."""
 
     def __init__(self) -> None:
-        self.state = STATE_AWAITING_INPUT
         self.abort_reason: str | None = None
+        self.output: bytes | None = None  # the checker's, once delivered
         self.leakage_log: list[LeakageEntry] = []
         self.transcript: list[TranscriptEntry] = []
-        self._inputs: dict[int, bytes | memoryview | None] = {
-            PARTY_SERVER: None,
-            PARTY_CHECKER: None,
-        }
-        self._requests: dict[int, int | None] = {PARTY_SERVER: None, PARTY_CHECKER: None}
-        self._outputs: dict[int, _Parts] = {}
-        self._delivered: dict[int, bool] = {PARTY_SERVER: False, PARTY_CHECKER: False}
+        self._inputs: dict[int, bytes | memoryview] = {}
+        self._circuit: int | None = None  # the first request's
 
     def _record(self, party: str, kind: str, payload: bytes, digest: str | None = None) -> None:
         """Append an entry; digest, when given, is the payload's SHA3-256 hex."""
@@ -360,76 +332,44 @@ class FscSession:
             )
         )
 
-    def _check_party(self, party: int) -> None:
-        if party not in (PARTY_SERVER, PARTY_CHECKER):
-            raise ValueError(f"unknown party {party}")
-
     def input(self, party: int, payload: bytes | memoryview) -> None:
         """Take a party's input. The session keeps bytes, or a view of an
         immutable bytes object, and copies any other buffer."""
-        self._check_party(party)
-        if self.state != STATE_AWAITING_INPUT or self._inputs[party] is not None:
-            raise WrongStateError(f"cannot accept input in state {self.state}")
         digest = None
-        if party == PARTY_SERVER:  # model bytes, in both circuits
+        if party == PARTY_SERVER and payload:  # model bytes, in both circuits
             served = _served(bytes(payload))
             payload, digest = served.model_bytes, served.input_digest
         elif not isinstance(memoryview(payload).obj, bytes):
             payload = bytes(payload)  # no view into a buffer the caller may change
         self._inputs[party] = payload
         self._record(_party_name(party), "input", payload, digest)
-        if all(v is not None for v in self._inputs.values()):
-            self.state = STATE_READY
 
     def _abort(self, reason: str) -> None:
-        self.state = STATE_ABORTED
         self.abort_reason = reason
         self._record("F", "abort", reason.encode("ascii"))
 
-    def compute(self, party: int, circuit_id: int) -> None:
-        """Record a compute request; runs the circuit once both agree. An
-        unknown circuit, or one the other party did not name, aborts the
-        session with CIRCUIT_MISMATCH."""
-        self._check_party(party)
-        if self.state != STATE_READY:
-            raise WrongStateError(f"compute requires READY, session is {self.state}")
-        other = self._requests[PARTY_CHECKER if party == PARTY_SERVER else PARTY_SERVER]
-        if circuit_id not in _CIRCUITS or other not in (None, circuit_id):
+    def compute(self, party: int, circuit_id: int | None) -> None:
+        """Record a party's request for a circuit. The second request runs
+        the circuit and delivers its output to the checker at once. A
+        request that names no circuit (None), an unknown one, or one the
+        other party did not name aborts the session with CIRCUIT_MISMATCH."""
+        if circuit_id not in _CIRCUITS or self._circuit not in (None, circuit_id):
             self._abort(ABORT_CIRCUIT_MISMATCH)
             return
-        self._requests[party] = circuit_id
         self._record(_party_name(party), "compute", bytes([circuit_id]))
-        if any(v is None for v in self._requests.values()):
+        if self._circuit is None:
+            self._circuit = circuit_id
             return
-        circuit = _CIRCUITS[circuit_id]
         try:
-            y1, y2 = circuit(self._inputs[PARTY_SERVER], self._inputs[PARTY_CHECKER])
+            parts = _CIRCUITS[circuit_id](self._inputs[PARTY_SERVER], self._inputs[PARTY_CHECKER])
         except SessionAbort as abort:
             self._abort(abort.reason)
             return
-        self._outputs = {PARTY_SERVER: y1, PARTY_CHECKER: y2}
-        self.state = STATE_COMPUTED
-
-    def output(self, party: int) -> bytes:
-        """Deliver the party's designated output (possibly empty)."""
-        self._check_party(party)
-        if self.state == STATE_ABORTED:
-            raise SessionAbort(self.abort_reason or "aborted")
-        if self.state not in (STATE_COMPUTED, STATE_DELIVERED):
-            raise WrongStateError(f"output requires COMPUTED, session is {self.state}")
-        if self._delivered[party]:
-            raise WrongStateError("output already delivered")
-        parts = self._outputs[party]
-        payload = b"".join(data for _, data in parts)
+        checker = _party_name(PARTY_CHECKER)
         for name, data in parts:
-            self.leakage_log.append(
-                LeakageEntry(party=_party_name(party), name=name, length=len(data))
-            )
-        self._record(_party_name(party), "output", payload)
-        self._delivered[party] = True
-        if all(self._delivered.values()):
-            self.state = STATE_DELIVERED
-        return payload
+            self.leakage_log.append(LeakageEntry(party=checker, name=name, length=len(data)))
+        self.output = b"".join(data for _, data in parts)
+        self._record(checker, "output", self.output)
 
     def transcript_lines(self) -> list[str]:
         return [entry.line() for entry in self.transcript]

@@ -55,7 +55,6 @@ from .dealer import (
     FscSession,
     PARTY_CHECKER,
     PARTY_SERVER,
-    STATE_ABORTED,
     encode_query,
     encode_test_bundle,
 )
@@ -551,27 +550,25 @@ def serve_dealer(channel_a, channel_b) -> FscSession:
             raise ProtocolError("both channels claim the same party")
         by_party[party] = chan
     session = FscSession()
-    circuit_ids: dict[int, int] = {}
+    circuit_ids: dict[int, int | None] = {}
     for party in (PARTY_SERVER, PARTY_CHECKER):
         frame = by_party[party].recv_frame()
-        if frame.type != FRAME_COMPUTE_INPUT or not frame.payload:
-            raise ProtocolError("expected a compute input frame")
-        circuit_ids[party] = frame.payload[0]
-        session.input(party, memoryview(frame.payload)[1:])
+        # Anything but a non-empty compute input names no circuit, so the
+        # session aborts; both frames are read, so no sender meets a close.
+        named = frame.type == FRAME_COMPUTE_INPUT and len(frame.payload) > 0
+        circuit_ids[party] = frame.payload[0] if named else None
+        session.input(party, memoryview(frame.payload)[1:] if named else b"")
     del frame  # the session holds each input: a view of its frame's payload
     for party in (PARTY_SERVER, PARTY_CHECKER):
         session.compute(party, circuit_ids[party])
-        if session.state == STATE_ABORTED:
-            break
-    if session.state == STATE_ABORTED:
-        for chan in by_party.values():
-            chan.send_frame(Frame(FRAME_ABORT, b""))
-        return session
-    payload = session.output(PARTY_CHECKER)
+        if session.abort_reason is not None:
+            for chan in by_party.values():
+                chan.send_frame(Frame(FRAME_ABORT, b""))
+            return session
     result_type = (
         FRAME_COMPUTE_RESULT if circuit_ids[PARTY_CHECKER] == CIRCUIT_CERT else FRAME_INFER_RESULT
     )
-    by_party[PARTY_CHECKER].send_frame(Frame(result_type, payload))
+    by_party[PARTY_CHECKER].send_frame(Frame(result_type, session.output))
     return session
 
 
@@ -693,6 +690,6 @@ def connect_channel(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> S
 
 def parse_endpoint(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not port.isdigit():
-        raise ValueError(f"endpoint {text!r} must be host:port")
+    if not port.isdigit() or int(port) > 65535:
+        raise ValueError(f"endpoint {text!r} must be host:port with a port up to 65535")
     return host or "127.0.0.1", int(port)

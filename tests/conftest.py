@@ -11,6 +11,7 @@ from faircert.fairness import FairnessMetric, FairnessSpec
 from faircert.model import PlantedConfig, generate_planted
 from faircert.protocol import (
     FRAME_COMPUTE_INPUT,
+    FRAME_SEED_REVEAL,
     Frame,
     Regulator,
     Server,
@@ -108,16 +109,16 @@ def returns_or_raises(decode, blobs, error):
             pass
 
 
-class CircuitRenamer:
-    """A party's dealer channel whose compute input names circuit_id, as a
-    deviating party's might."""
+class DealerInputRewriter:
+    """A party's dealer channel that sends rewrite(frame) in place of its
+    compute input frame, as a deviating party's might."""
 
-    def __init__(self, inner, circuit_id):
-        self._inner, self._circuit_id = inner, circuit_id
+    def __init__(self, inner, rewrite):
+        self._inner, self._rewrite = inner, rewrite
 
     def send_frame(self, frame):
         if frame.type == FRAME_COMPUTE_INPUT:
-            frame = Frame(frame.type, bytes([self._circuit_id]) + frame.payload[1:])
+            frame = self._rewrite(frame)
         self._inner.send_frame(frame)
 
     def recv_frame(self):
@@ -127,12 +128,30 @@ class CircuitRenamer:
         self._inner.close()
 
 
-def naming_circuit(monkeypatch, role_class, method, circuit_id):
+def rewriting_dealer_input(monkeypatch, role_class, method, rewrite):
     """Patch a role method (self, a peer argument, then a dealer factory)
-    so that the party's dealer input names circuit_id."""
+    so that the party's compute input goes to the dealer as rewrite(frame)."""
     role = getattr(role_class, method)
     monkeypatch.setattr(
         role_class,
         method,
-        lambda self, peer, dealer: role(self, peer, lambda: CircuitRenamer(dealer(), circuit_id)),
+        lambda self, peer, dealer: role(self, peer, lambda: DealerInputRewriter(dealer(), rewrite)),
     )
+
+
+def naming_circuit(monkeypatch, role_class, method, circuit_id):
+    """The party's compute input names circuit_id."""
+    rewriting_dealer_input(
+        monkeypatch,
+        role_class,
+        method,
+        lambda frame: Frame(frame.type, bytes([circuit_id]) + frame.payload[1:]),
+    )
+
+
+# Compute inputs that name no circuit: an empty one, and the same payload
+# in a frame of another type.
+NO_CIRCUIT = {
+    "empty": lambda frame: Frame(FRAME_COMPUTE_INPUT, b""),
+    "other-type": lambda frame: Frame(FRAME_SEED_REVEAL, frame.payload),
+}

@@ -4,7 +4,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from conftest import naming_circuit
+from conftest import NO_CIRCUIT, naming_circuit, rewriting_dealer_input
 
 from faircert import cli
 from faircert.cli import main
@@ -386,12 +386,10 @@ def test_certify_over_tcp_not_fair_exits_2_on_both_parties(tmp_path, config_path
     assert lines_of(capsys).count("failed: NOT_FAIR") == 2
 
 
-def test_certify_over_tcp_wrong_circuit_exits_4_on_every_role(
-    tmp_path, config_path, capsys, monkeypatch
-):
-    data, model, _, _ = certified_setup(tmp_path, config_path, capsys)
-    capsys.readouterr()
-    naming_circuit(monkeypatch, Server, "serve_certification", 7)
+def certify_over_tcp_exits_4_on_every_role(data, model, capsys):
+    """Run the three TCP certify roles with a deviating server already
+    patched in: every role exits 4 and the dealer's transcript ends with its
+    abort after the two inputs."""
     spec = ["--eps", "0.5", "--delta", "0.2", "--seed", "5"]
     dealer, host = free_endpoint(), free_endpoint()
     assert run_roles(
@@ -405,6 +403,39 @@ def test_certify_over_tcp_wrong_circuit_exits_4_on_every_role(
     assert out.count("failed: FSC_ABORT") == 2
     assert [line.split()[:3] for line in out if " F " in line] == [["2", "F", "abort"]]
 
+
+def test_certify_over_tcp_wrong_circuit_exits_4_on_every_role(
+    tmp_path, config_path, capsys, monkeypatch
+):
+    data, model, _, _ = certified_setup(tmp_path, config_path, capsys)
+    capsys.readouterr()
+    naming_circuit(monkeypatch, Server, "serve_certification", 7)
+    certify_over_tcp_exits_4_on_every_role(data, model, capsys)
+
+
+def test_certify_over_tcp_empty_dealer_input_exits_4_on_every_role(
+    tmp_path, config_path, capsys, monkeypatch
+):
+    data, model, _, _ = certified_setup(tmp_path, config_path, capsys)
+    capsys.readouterr()
+    rewriting_dealer_input(monkeypatch, Server, "serve_certification", NO_CIRCUIT["empty"])
+    certify_over_tcp_exits_4_on_every_role(data, model, capsys)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--listen", "127.0.0.1:70000"], "port up to 65535"),
+        (["--listen", "127.0.0.1:abc"], "must be host:port"),
+        ([], "--role dealer needs --listen"),
+    ],
+    ids=("port-too-large", "port-not-a-number", "missing"),
+)
+def test_a_bad_endpoint_is_a_usage_error(flags, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["certify", "--role", "dealer", *flags])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
 
 # --- gate estimates -----------------------------------------------------------------
 

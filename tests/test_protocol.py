@@ -9,11 +9,13 @@ from conftest import (
     CHEAP_REQUIRED,
     CHEAP_SPEC,
     KEY_SEED,
+    NO_CIRCUIT,
     certification_setup,
     mutated,
     naming_circuit,
     quarter_config,
     returns_or_raises,
+    rewriting_dealer_input,
     specs,
     tcp_link,
 )
@@ -162,6 +164,9 @@ def test_parse_endpoint():
     assert parse_endpoint(":80") == ("127.0.0.1", 80)
     with pytest.raises(ValueError):
         parse_endpoint("no-port")
+    assert parse_endpoint("h:65535") == ("h", 65535)
+    with pytest.raises(ValueError):
+        parse_endpoint("127.0.0.1:70000")
 
 
 # --- channels ------------------------------------------------------------------
@@ -400,6 +405,35 @@ def test_a_wrong_circuit_byte_aborts_both_parties(monkeypatch):
                 run = run_inference_local(client, serving, link=link)
             assert run.client_result == run.server_result == Reject(REASON_FSC_ABORT)
             assert run.session.abort_reason == "CIRCUIT_MISMATCH"
+
+
+@pytest.mark.parametrize("rewrite", NO_CIRCUIT.values(), ids=NO_CIRCUIT.keys())
+def test_a_dealer_frame_that_names_no_circuit_aborts_both_parties(monkeypatch, rewrite):
+    # From the server or the checker, in a certification or an inference.
+    regulator, server, _, _ = certification_setup()
+    serving, _, pair = linear_server()
+    client = Client((0, fx.ONE, 0), pair.verification_key, CHEAP_SPEC)
+    certify = (run_certification_local, regulator, server, "regulator_result", CertFailure)
+    infer = (run_inference_local, client, serving, "client_result", Reject)
+    deviators = (
+        (certify, Server, "serve_certification"),
+        (certify, Regulator, "certify"),
+        (infer, Server, "serve_inference"),
+        (infer, Client, "infer"),
+    )
+    for link in LINKS:
+        for (run_local, checker, held, checker_result, failure), role_class, method in deviators:
+            dealer._served.cache_clear()
+            with monkeypatch.context() as patch:
+                rewriting_dealer_input(patch, role_class, method, rewrite)
+                run = run_local(checker, held, link=link)
+            assert run.server_result == getattr(run, checker_result) == failure(REASON_FSC_ABORT)
+            assert run.session.abort_reason == "CIRCUIT_MISMATCH"
+            assert run.session.output is None
+            last = run.session.transcript[-1]
+            assert (last.party, last.kind) == ("F", "abort")
+            # An empty server input takes no slot in the dealer's memo.
+            assert dealer._served.cache_info().currsize == (role_class is not Server)
 
 
 def _count_calls(monkeypatch, module, name):
