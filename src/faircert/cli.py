@@ -1,15 +1,16 @@
 """Command-line interface.
 
-Exit codes: 0 success or accept, 2 reject / not fair, 3 precondition
-failure, 4 protocol abort. Every command is deterministic given --seed
-(default from FAIRCERT_SEED, else 0); CSV outputs are byte-stable.
+argparse checks every input before a command runs; the fairness spec is
+augmented exactly when --alpha is given. Exit codes: 0 success or accept, 2
+reject / not fair, or a bad or missing flag (argparse's usage on stderr), 3
+precondition failure, 4 protocol abort. Every command is deterministic given
+--seed (default 0); CSV outputs are byte-stable.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import struct
 import sys
 from contextlib import ExitStack, closing
@@ -89,21 +90,27 @@ def _signing_seed(seed: int) -> bytes:
     return hashlib.sha3_256(_seed_bytes(seed) + b"/signing-key").digest()
 
 
-def _parse_fixed(text: str) -> int:
+def _typed(parse, each: bool = False):
+    """An argparse type: parse the value, or each comma-separated part of it."""
+
+    def convert(text: str):
+        try:
+            return tuple(map(parse, text.split(","))) if each else parse(text)
+        except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") divides by zero
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
+def _q16(text: str) -> int:
     """Decimal string to raw Q16.16, exact rounding."""
-    return int(round(Fraction(text) * fx.ONE))
+    return round(Fraction(text) * fx.ONE)
 
 
-def _parse_features(text: str) -> tuple[int, ...]:
-    return tuple(_parse_fixed(part) for part in text.split(","))
-
-
-def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
-    return tuple(parse_micro(part) for part in text.split(","))
-
-
-def _parse_taus(text: str) -> list[float]:
-    return [float(part) for part in text.split(",")]
+_micro = _typed(parse_micro)
+_micro_list = _typed(parse_micro, each=True)
+_int_list = _typed(int, each=True)
+_host_port = _typed(parse_endpoint)
 
 
 def _write_out(path: str | None, write, rows) -> None:
@@ -115,56 +122,60 @@ def _write_out(path: str | None, write, rows) -> None:
         write(fh, rows)
 
 
-def _spec_from_args(args) -> FairnessSpec:
-    alpha = None
-    if args.mode == "augmented":
-        if args.alpha is None:
-            raise SystemExit("--alpha is required in augmented mode")
-        alpha = parse_micro(args.alpha)
-    return FairnessSpec(
-        metric=FairnessMetric.from_string(args.metric),
-        epsilon=parse_micro(args.eps),
-        delta=parse_micro(args.delta),
-        alpha=alpha,
-    )
-
-
 def _aug_from_args(args, label: str) -> AugmentorConfig:
     return AugmentorConfig(
         master_seed=derive_key(_seed_bytes(args.seed), label),
-        noise_sigma=_parse_fixed(args.aug_sigma),
-        mask_prob=parse_micro(args.mask_prob),
-        invoke_prob=parse_micro(args.invoke_prob),
-        degree=parse_micro(args.degree),
+        noise_sigma=args.aug_sigma,
+        mask_prob=args.mask_prob,
+        invoke_prob=args.invoke_prob,
+        degree=args.degree,
     )
 
 
-def _add_spec_flags(parser, with_mode=True) -> None:
-    parser.add_argument("--eps", default="0.1", help="fairness tolerance, micro-unit decimal")
-    parser.add_argument("--delta", default="0.05", help="confidence parameter")
-    parser.add_argument("--alpha", default=None, help="augmented-mode tolerance")
+def _add_spec_flags(parser) -> None:
+    parser.add_argument("--eps", type=_micro, default="0.1", help="tolerance, micro-unit decimal")
+    parser.add_argument("--delta", type=_micro, default="0.05", help="confidence parameter")
+    parser.add_argument("--alpha", type=_micro, help="augmented-mode tolerance; sets the mode")
     parser.add_argument("--metric", default="ore", choices=["ore", "eo", "dp"])
-    if with_mode:
-        parser.add_argument("--mode", default="private", choices=["private", "augmented"])
 
 
 def _add_aug_flags(parser) -> None:
-    parser.add_argument("--aug-sigma", default="0.05", help="noise scale, decimal")
-    parser.add_argument("--mask-prob", default="0", help="per-coordinate mask probability")
-    parser.add_argument("--invoke-prob", default="1", help="per-augmentation invoke probability")
-    parser.add_argument("--degree", default="1", help="scales the invoke probability")
+    parser.add_argument("--aug-sigma", type=_typed(_q16), default="0.05",
+                        help="noise scale, decimal")
+    parser.add_argument("--mask-prob", type=_micro, default="0",
+                        help="per-coordinate mask probability")
+    parser.add_argument("--invoke-prob", type=_micro, default="1",
+                        help="per-augmentation invoke probability")
+    parser.add_argument("--degree", type=_micro, default="1",
+                        help="scales the invoke probability")
+
+
+# The flags each role reads, files included; a missing one is a usage error.
+_ROLE_NEEDS = {
+    ("certify", "local"): ("data", "model"),
+    ("certify", "dealer"): ("listen",),
+    ("certify", "regulator"): ("listen", "dealer", "data"),
+    ("certify", "server"): ("connect", "dealer", "model"),
+    ("infer", "local"): ("model", "cert", "features"),
+    ("infer", "dealer"): ("listen",),
+    ("infer", "server"): ("listen", "dealer", "model", "cert"),
+    ("infer", "client"): ("connect", "dealer", "features"),
+}
+
+
+def _add_role_flags(parser, command: str) -> None:
+    """--role, and the flags _ROLE_NEEDS names for both certify and infer."""
+    roles = [role for cmd, role in _ROLE_NEEDS if cmd == command]
+    parser.add_argument("--role", default="local", choices=roles)
+    parser.add_argument("--model")
+    parser.add_argument("--listen", type=_host_port, help="host:port to accept on")
+    parser.add_argument("--connect", type=_host_port, help="host:port to dial")
+    parser.add_argument("--dealer", type=_host_port, help="host:port of the dealer")
 
 
 def cmd_bound(args) -> int:
-    spec = FairnessSpec(
-        metric=FairnessMetric.ORE,
-        epsilon=parse_micro(args.eps),
-        delta=parse_micro(args.delta),
-    )
     try:
-        needed = min_samples(
-            spec, parse_micro(args.efg), args.groups, args.labels, variant=args.variant
-        )
+        needed = min_samples(args.spec, args.efg, args.groups, args.labels, variant=args.variant)
     except GapNotBelowThresholdError as exc:
         print(f"GAP_NOT_BELOW_THRESHOLD: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -174,10 +185,7 @@ def cmd_bound(args) -> int:
 
 def cmd_gen_data(args) -> int:
     config = _load_config(args)
-    group_counts = None
-    if args.group_counts:
-        group_counts = tuple(int(x) for x in args.group_counts.split(","))
-    dataset, _, gaps = generate_planted(config, args.m, group_counts=group_counts)
+    dataset, _, gaps = generate_planted(config, args.m, group_counts=args.group_counts)
     with open(args.out, "wb") as fh:
         fh.write(encode_dataset(dataset))
     print(f"samples: {len(dataset.groups)}")
@@ -190,7 +198,7 @@ def cmd_gen_data(args) -> int:
 def cmd_gen_model(args) -> int:
     config = _load_config(args)
     if args.rates:
-        config = replace(config, error_rates=_parse_fraction_list(args.rates))
+        config = replace(config, error_rates=args.rates)
     model = planted_model(config)
     data = serialize_model(model)
     with open(args.out, "wb") as fh:
@@ -223,25 +231,6 @@ def _load_server(model_path: str, cert_path: str | None = None) -> Server:
     return server
 
 
-def _endpoint(text: str) -> tuple[str, int]:
-    """The --listen, --connect and --dealer flag type: host:port."""
-    try:
-        return parse_endpoint(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-# The endpoint flags each TCP role needs; a missing one is a usage error.
-_ENDPOINT_FLAGS = {
-    ("certify", "dealer"): ("listen",),
-    ("certify", "regulator"): ("listen", "dealer"),
-    ("certify", "server"): ("connect", "dealer"),
-    ("infer", "dealer"): ("listen",),
-    ("infer", "server"): ("listen", "dealer"),
-    ("infer", "client"): ("connect", "dealer"),
-}
-
-
 def _connector(stack: ExitStack, endpoint: tuple[str, int]):
     """A channel factory that dials the endpoint; the stack closes every
     channel it opens."""
@@ -264,7 +253,6 @@ def _serve_dealer(endpoint: tuple[str, int]) -> FscSession:
 
 
 def cmd_certify(args) -> int:
-    spec = _spec_from_args(args)
     if args.role == "dealer":
         session = _serve_dealer(args.listen)
         for line in session.transcript_lines():
@@ -279,9 +267,9 @@ def cmd_certify(args) -> int:
     else:
         with open(args.data, "rb") as fh:
             dataset = decode_dataset(fh.read())
-        aug = _aug_from_args(args, "augment") if args.mode == "augmented" else None
+        aug = _aug_from_args(args, "augment") if args.spec.augmented else None
         keypair = keygen(_signing_seed(args.seed))
-        regulator = Regulator(keypair, dataset, spec, aug)
+        regulator = Regulator(keypair, dataset, args.spec, aug)
         if args.vk_out:
             with open(args.vk_out, "wb") as fh:
                 fh.write(keypair.verification_key)
@@ -304,7 +292,6 @@ def cmd_certify(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    spec = _spec_from_args(args)
     if args.role == "dealer":
         session = _serve_dealer(args.listen)
         return EXIT_OK if session.abort_reason is None else EXIT_ABORT
@@ -324,9 +311,8 @@ def cmd_infer(args) -> int:
             vk = fh.read()
     else:
         vk = keygen(_signing_seed(args.seed)).verification_key
-    features = _parse_features(args.features)
     try:
-        client = Client(features, vk, spec)
+        client = Client(args.features, vk, args.spec)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return EXIT_PRECONDITION
@@ -350,8 +336,6 @@ def cmd_estimate_gates(args) -> int:
         with open(args.model, "rb") as fh:
             report = estimate_gates_for_model(deserialize_model(fh.read()))
     else:
-        if args.model_bytes is None or args.weight_bits is None:
-            raise SystemExit("need --model or both --model-bytes and --weight-bits")
         report = estimate_gates(args.model_bytes, args.weight_bits)
     for line in report.to_lines():
         print(line)
@@ -360,12 +344,8 @@ def cmd_estimate_gates(args) -> int:
 
 def cmd_experiment_coverage(args) -> int:
     config = _load_config(args)
-    spec = _spec_from_args(args)
-    group_counts = None
-    if args.group_counts:
-        group_counts = tuple(int(x) for x in args.group_counts.split(","))
     results = run_coverage(
-        config, spec, args.trials, m=args.m, group_counts=group_counts
+        config, args.spec, args.trials, m=args.m, group_counts=args.group_counts
     )
     _write_out(args.out, write_coverage_csv, results)
     return EXIT_OK
@@ -373,29 +353,23 @@ def cmd_experiment_coverage(args) -> int:
 
 def cmd_attack_knn(args) -> int:
     config = _load_config(args)
-    fair_cfg = replace(config, error_rates=_parse_fraction_list(args.fair_rates))
-    unfair_cfg = replace(config, error_rates=_parse_fraction_list(args.unfair_rates))
+    fair_cfg = replace(config, error_rates=args.fair_rates)
+    unfair_cfg = replace(config, error_rates=args.unfair_rates)
     fair = planted_model(fair_cfg)
     unfair = planted_model(unfair_cfg)
     ref_cfg = replace(config, seed=derive_key(config.seed, "reference"))
     reference, _, _ = generate_planted(ref_cfg, args.ref_size)
     reference = augment_dataset(_aug_from_args(args, "attack-aug"), reference)
-    eval_cfg = replace(
-        unfair_cfg, seed=derive_key(config.seed, "eval")
-    )
+    eval_cfg = replace(unfair_cfg, seed=derive_key(config.seed, "eval"))
     eval_dataset, _, _ = generate_planted(eval_cfg, args.eval_size)
-    points = knn_attack_sweep(
-        fair, unfair, reference.features, eval_dataset,
-        _parse_taus(args.taus),
-    )
+    points = knn_attack_sweep(fair, unfair, reference.features, eval_dataset, args.taus)
     _write_out(args.out, write_attack_csv, points)
     return EXIT_OK
 
 
 def cmd_augment_sweep(args) -> int:
     config = _load_config(args)
-    degrees = _parse_fraction_list(args.degrees)
-    points = augmentation_sweep(config, args.m, _aug_from_args(args, "augment"), degrees)
+    points = augmentation_sweep(config, args.m, _aug_from_args(args, "augment"), args.degrees)
     _write_out(args.out, write_sweep_csv, points)
     return EXIT_OK
 
@@ -438,90 +412,83 @@ def build_parser() -> argparse.ArgumentParser:
         prog="faircert",
         description="Certified group-fairness testing and private inference.",
     )
-    default_seed = int(os.environ.get("FAIRCERT_SEED", "0"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+        # No prefix matching: an unknown flag is never read as a longer one it begins.
+        p = sub.add_parser(name, allow_abbrev=False, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--seed", type=int, default=default_seed, help="master seed (u64)")
+        p.add_argument("--seed", type=int, default=0, help="master seed (u64)")
         return p
 
     p = add("bound", cmd_bound, help="print the per-cell sample-count bound")
-    p.add_argument("--eps", required=True)
-    p.add_argument("--efg", required=True, help="observed or assumed empirical gap")
-    p.add_argument("--delta", required=True)
+    p.add_argument("--eps", type=_micro, required=True)
+    p.add_argument("--efg", type=_micro, required=True, help="observed or assumed empirical gap")
+    p.add_argument("--delta", type=_micro, required=True)
     p.add_argument("--groups", type=int, required=True)
     p.add_argument("--labels", type=int, default=2)
     p.add_argument("--variant", default="union", choices=["union", "efficiency"])
+    p.set_defaults(metric="ore", alpha=None)
 
     p = add("gen-data", cmd_gen_data, help="draw a planted test set to a file")
     p.add_argument("--config", required=True, help="planted-config JSON path")
     p.add_argument("--m", type=int, default=0)
-    p.add_argument("--group-counts", default=None, help="exact per-group sizes, comma list")
+    p.add_argument("--group-counts", type=_int_list, help="exact per-group sizes, comma list")
     p.add_argument("--out", required=True)
 
     p = add("gen-model", cmd_gen_model, help="write the planted model's canonical bytes")
     p.add_argument("--config", required=True)
-    p.add_argument("--rates", default=None, help="override per-group error rates")
+    p.add_argument("--rates", type=_micro_list, help="override per-group error rates")
     p.add_argument("--out", required=True)
 
     p = add("certify", cmd_certify, help="run the certification protocol")
     _add_spec_flags(p)
     _add_aug_flags(p)
-    p.add_argument("--role", default="local", choices=["local", "regulator", "server", "dealer"])
-    p.add_argument("--model", default=None)
-    p.add_argument("--data", default=None)
-    p.add_argument("--listen", type=_endpoint, default=None, help="host:port to accept on")
-    p.add_argument("--connect", type=_endpoint, default=None, help="host:port to dial")
-    p.add_argument("--dealer", type=_endpoint, default=None, help="host:port of the dealer")
-    p.add_argument("--cert-out", default=None)
-    p.add_argument("--vk-out", default=None)
+    _add_role_flags(p, "certify")
+    p.add_argument("--data")
+    p.add_argument("--cert-out")
+    p.add_argument("--vk-out")
 
     p = add("infer", cmd_infer, help="run the certified-inference protocol")
     _add_spec_flags(p)
-    p.add_argument("--role", default="local", choices=["local", "client", "server", "dealer"])
-    p.add_argument("--model", default=None)
-    p.add_argument("--cert", default=None)
-    p.add_argument("--vk", default=None, help="regulator verification key file")
-    p.add_argument("--features", default=None, help="query vector, comma decimals")
-    p.add_argument("--listen", type=_endpoint, default=None)
-    p.add_argument("--connect", type=_endpoint, default=None)
-    p.add_argument("--dealer", type=_endpoint, default=None)
+    _add_role_flags(p, "infer")
+    p.add_argument("--cert")
+    p.add_argument("--vk", help="regulator verification key file")
+    p.add_argument("--features", type=_typed(_q16, each=True), help="query vector, comma decimals")
 
     p = add("estimate-gates", cmd_estimate_gates, help="commitment/inference gate costs")
-    p.add_argument("--model", default=None)
-    p.add_argument("--model-bytes", type=int, default=None)
-    p.add_argument("--weight-bits", type=int, default=None)
+    p.add_argument("--model")
+    p.add_argument("--model-bytes", type=int)
+    p.add_argument("--weight-bits", type=int)
 
-    p = add("experiment-coverage", cmd_experiment_coverage,
-            help="repeated planted trials, CSV")
+    p = add("experiment-coverage", cmd_experiment_coverage, help="repeated planted trials, CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--m", type=int, default=0)
-    p.add_argument("--group-counts", default=None)
+    p.add_argument("--group-counts", type=_int_list)
     _add_spec_flags(p)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out")
 
     p = add("attack-knn", cmd_attack_knn, help="nearest-neighbor routing attack sweep")
     p.add_argument("--config", required=True)
-    p.add_argument("--fair-rates", required=True)
-    p.add_argument("--unfair-rates", required=True)
+    p.add_argument("--fair-rates", type=_micro_list, required=True)
+    p.add_argument("--unfair-rates", type=_micro_list, required=True)
     p.add_argument("--ref-size", type=int, default=400)
     p.add_argument("--eval-size", type=int, default=1000)
-    p.add_argument("--taus", required=True, help="comma list, inf allowed")
+    p.add_argument("--taus", type=_typed(float, each=True), required=True,
+                   help="comma list, inf allowed")
     _add_aug_flags(p)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out")
 
     p = add("augment-sweep", cmd_augment_sweep, help="accuracy/gap across degrees")
     p.add_argument("--config", required=True)
     p.add_argument("--m", type=int, default=2000)
     _add_aug_flags(p)
-    p.add_argument("--degrees", default="0,0.25,0.5,0.75,1")
-    p.add_argument("--out", default=None)
+    p.add_argument("--degrees", type=_micro_list, default="0,0.25,0.5,0.75,1")
+    p.add_argument("--out")
 
     p = add("audit", cmd_audit, help="print a compute-session audit transcript")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out")
 
     return parser
 
@@ -529,10 +496,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    flags = _ENDPOINT_FLAGS.get((args.command, getattr(args, "role", None)), ())
+    flags = _ROLE_NEEDS.get((args.command, getattr(args, "role", None)), ())
     missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
     if missing:
         parser.error(f"--role {args.role} needs {' and '.join(missing)}")
+    if args.command == "estimate-gates" and not args.model:
+        if args.model_bytes is None or args.weight_bits is None:
+            parser.error("estimate-gates needs --model or both --model-bytes and --weight-bits")
+    if hasattr(args, "eps"):  # bound, certify, infer and experiment-coverage
+        try:
+            args.spec = FairnessSpec(FairnessMetric(args.metric), args.eps, args.delta, args.alpha)
+        except ValueError as exc:
+            parser.error(str(exc))
     return args.fn(args)
 
 

@@ -141,6 +141,8 @@ def decode_test_bundle(
         offset += 24
     elif mode != MODE_PRIVATE_BYTE:
         raise MalformedDatasetError(f"unknown bundle mode {mode}")
+    if (aug is not None) != spec.augmented:
+        raise MalformedDatasetError("bundle mode byte disagrees with its spec")
     return spec, decode_dataset(memoryview(data)[offset:]), aug
 
 

@@ -75,13 +75,6 @@ class FairnessMetric(enum.Enum):
     EO = "eo"    # per-(group, true label) misclassification rate
     DP = "dp"    # per-group likelihood of each predicted label
 
-    @classmethod
-    def from_string(cls, name: str) -> "FairnessMetric":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(f"unknown metric {name!r}") from None
-
 
 MODE_PRIVATE = "private"
 MODE_AUGMENTED = "augmented"

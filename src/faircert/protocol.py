@@ -299,6 +299,8 @@ def decode_cert_request(payload: bytes) -> tuple[FairnessSpec, int, bytes | None
         raise ProtocolError("certification request missing its mode byte")
     mode = payload[offset]
     offset += 1
+    if mode in (0, 1) and mode != spec.augmented:
+        raise ProtocolError("certification request mode byte disagrees with its spec")
     if mode == 0:
         if offset != len(payload):
             raise ProtocolError("trailing bytes after a private-mode request")

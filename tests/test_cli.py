@@ -126,15 +126,16 @@ def test_gen_data_is_seed_deterministic(tmp_path, config_path):
 # --- certification and inference over the in-process transport -----------------------
 
 
-def certified_setup(tmp_path, config_path, capsys):
-    """gen-data + gen-model + certify; returns the artifact paths."""
+def certified_setup(tmp_path, config_path, capsys, *flags, group_counts="30,30"):
+    """gen-data + gen-model + certify, given more certify flags if any;
+    returns the artifact paths."""
     data, model = tmp_path / "data.bin", tmp_path / "model.bin"
     cert, vk = tmp_path / "cert.bin", tmp_path / "vk.bin"
     assert main(
         [
             "gen-data",
             "--config", config_path,
-            "--group-counts", "30,30",
+            "--group-counts", group_counts,
             "--out", str(data),
             "--seed", "5",
         ]
@@ -152,6 +153,7 @@ def certified_setup(tmp_path, config_path, capsys):
             "--cert-out", str(cert),
             "--vk-out", str(vk),
             "--seed", "5",
+            *flags,
         ]
     )
     assert code == 0
@@ -227,6 +229,26 @@ def test_certify_undersampled_exits_3(tmp_path, config_path, capsys):
     )
     assert code == 3
     assert "failed: PRECHECK_FAILED" in capsys.readouterr().out
+
+
+def test_alpha_alone_certifies_and_infers_in_augmented_mode(tmp_path, config_path, capsys):
+    # 119 per group meets alpha = 0.25 at delta = 0.2
+    _, model, cert, vk = certified_setup(
+        tmp_path, config_path, capsys, "--alpha", "0.25", "--aug-sigma", "0.05",
+        group_counts="120,120",
+    )
+    spec = Certificate.from_bytes(cert.read_bytes()).spec
+    assert spec.alpha == Fraction(1, 4)
+    assert spec.fairness_string == "ore-augmented"
+    capsys.readouterr()
+    query = [
+        "infer", "--eps", "0.5", "--delta", "0.2", "--model", str(model),
+        "--cert", str(cert), "--vk", str(vk), "--features", "0,1,0,0",
+    ]
+    assert main([*query, "--alpha", "0.25"]) == 0
+    assert lines_of(capsys)[0] == "prediction: 1"
+    assert main(query) == 2
+    assert "rejected: SPEC_MISMATCH" in capsys.readouterr().out
 
 
 def test_infer_local_accepts(tmp_path, config_path, capsys):
@@ -422,18 +444,44 @@ def test_certify_over_tcp_empty_dealer_input_exits_4_on_every_role(
     certify_over_tcp_exits_4_on_every_role(data, model, capsys)
 
 
+BOUND = ["--efg", "0", "--delta", "0.05", "--groups", "2"]
+DEALER = ["--dealer", "127.0.0.1:9"]
+
+
 @pytest.mark.parametrize(
-    "flags, message",
+    "argv, message",
     [
-        (["--listen", "127.0.0.1:70000"], "port up to 65535"),
-        (["--listen", "127.0.0.1:abc"], "must be host:port"),
-        ([], "--role dealer needs --listen"),
+        (["certify", "--role", "dealer", "--listen", "127.0.0.1:70000"], "port up to 65535"),
+        (["certify", "--role", "dealer", "--listen", "127.0.0.1:abc"], "must be host:port"),
+        (["certify", "--role", "dealer"], "--role dealer needs --listen"),
+        (["bound", "--eps", "abc", *BOUND], "--eps: Invalid literal for Fraction: 'abc'"),
+        (["bound", "--eps", "0.1234567", *BOUND], "not representable in micro-units"),
+        (["bound", "--eps", "1.5", *BOUND], "epsilon must lie strictly between 0 and 1"),
+        (["bound", "--eps", "1/0", *BOUND], "--eps: Fraction(1, 0)"),
+        (["certify", "--eps", "2", "--data", "D", "--model", "M"], "epsilon must lie strictly"),
+        (["infer", "--model", "M", "--cert", "C", "--features", "1,x"],
+         "--features: Invalid literal for Fraction: 'x'"),
+        (["infer", "--model", "M", "--cert", "C"], "--role local needs --features"),
+        (["certify"], "--role local needs --data and --model"),
+        (["certify", "--role", "server", "--connect", "127.0.0.1:9", *DEALER],
+         "--role server needs --model"),
+        (["estimate-gates"], "needs --model or both --model-bytes and --weight-bits"),
+        (["infer", "--role", "server", "--listen", "127.0.0.1:0", *DEALER, "--model", "M"],
+         "--role server needs --cert"),
+        (["certify", "--mode", "augmented", "--alpha", "0.25", "--data", "D", "--model", "M"],
+         "unrecognized arguments: --mode augmented"),
     ],
-    ids=("port-too-large", "port-not-a-number", "missing"),
+    ids=(
+        "port-too-large", "port-not-a-number", "missing",
+        "eps-not-a-number", "eps-off-the-micro-grid", "eps-above-one", "eps-divides-by-zero",
+        "certify-eps-above-one", "feature-not-a-number", "infer-local-without-features",
+        "certify-local-without-files", "certify-server-without-model",
+        "estimate-gates-without-sizes", "infer-server-without-cert", "mode-is-gone",
+    ),
 )
-def test_a_bad_endpoint_is_a_usage_error(flags, message, capsys):
+def test_a_bad_endpoint_is_a_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exit_info:
-        main(["certify", "--role", "dealer", *flags])
+        main(argv)
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
 
@@ -451,11 +499,6 @@ def test_estimate_gates_zero_weight_bits(capsys):
     code = main(["estimate-gates", "--model-bytes", "10", "--weight-bits", "0"])
     assert code == 0
     assert "n/a" in capsys.readouterr().out
-
-
-def test_estimate_gates_needs_counts_or_model():
-    with pytest.raises(SystemExit):
-        main(["estimate-gates"])
 
 
 # --- experiment commands --------------------------------------------------------------

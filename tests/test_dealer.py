@@ -1,6 +1,7 @@
 import hashlib
 import random
 import struct
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -75,8 +76,10 @@ def fair_config(seed=b"\x41" * 8):
 
 
 def planted_inputs(group_counts=(CHEAP_REQUIRED, CHEAP_REQUIRED), aug=None):
+    """With aug, the bundle's spec is augmented at alpha = epsilon."""
+    spec = CHEAP_SPEC if aug is None else replace(CHEAP_SPEC, alpha=CHEAP_SPEC.epsilon)
     dataset, model, _ = generate_planted(fair_config(), 0, group_counts=group_counts)
-    return serialize_model(model), encode_test_bundle(CHEAP_SPEC, dataset, aug), dataset, model
+    return serialize_model(model), encode_test_bundle(spec, dataset, aug), dataset, model
 
 
 def run_cert(model_bytes, bundle):
@@ -118,11 +121,19 @@ def test_bundle_rejects_missing_mode_and_unknown_mode():
 
     with pytest.raises(MalformedDatasetError):
         decode_test_bundle(encode_fairness_spec(CHEAP_SPEC))
-    _, bundle, _, _ = planted_inputs()
+    model_bytes, bundle, dataset, _ = planted_inputs()
     broken = bytearray(bundle)
     broken[len(bundle) - len(bundle) + bundle.index(b"FDAT1") - 1] = 9
     with pytest.raises(MalformedDatasetError):
         decode_test_bundle(bytes(broken))
+    # a mode byte that disagrees with the spec, either way round
+    aug = AugmentorConfig(master_seed=b"\x55" * 8)
+    augmented = replace(CHEAP_SPEC, alpha=CHEAP_SPEC.epsilon)
+    private_with_aug = encode_test_bundle(CHEAP_SPEC, dataset, aug)
+    for mismatched in (private_with_aug, encode_test_bundle(augmented, dataset)):
+        with pytest.raises(MalformedDatasetError, match="disagrees with its spec"):
+            decode_test_bundle(mismatched)
+    assert abort_reason_of(model_bytes, private_with_aug) == ABORT_SIZE_MISMATCH
 
 
 @st.composite

@@ -223,8 +223,9 @@ def test_cert_request_round_trip_augmented():
     cfg = AugmentorConfig(
         master_seed=b"\x00" * 8, noise_sigma=100, invoke_prob=Fraction(1)
     )
-    payload = encode_cert_request(CHEAP_SPEC, 60, cfg.encode_public())
+    payload = encode_cert_request(AUG_SPEC, 60, cfg.encode_public())
     spec, total, block = decode_cert_request(payload)
+    assert spec == AUG_SPEC
     assert block == cfg.encode_public()
     assert total == 60
 
@@ -238,6 +239,13 @@ def test_cert_request_rejects_malformed():
     bad_mode = payload[:-1] + b"\x07"
     with pytest.raises(ProtocolError):
         decode_cert_request(bad_mode)
+    # a mode byte that disagrees with the spec, either way round
+    for mismatched in (
+        encode_cert_request(CHEAP_SPEC, 1, AUG.encode_public()),
+        encode_cert_request(AUG_SPEC, 1, None),
+    ):
+        with pytest.raises(ProtocolError, match="disagrees with its spec"):
+            decode_cert_request(mismatched)
 
 
 @given(specs(), st.integers(0, 2**32 - 1), st.booleans(), st.binary(max_size=60), st.data())
