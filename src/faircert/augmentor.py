@@ -7,27 +7,33 @@ augmented set. Group and label fields pass through untouched; only the
 feature block changes.
 
 Two augmentations exist, each invoked independently with probability
-invoke_prob * degree: additive Gaussian noise per coordinate (Box-Muller on
-64-bit uniform draws, scaled by noise_sigma and rounded back to Q16.16), and
-coordinate masking to zero with probability mask_prob per coordinate.
+invoke_prob * degree: additive noise per coordinate, and coordinate masking
+to zero with probability mask_prob per coordinate. The noise is a quantised,
+truncated normal: one 64-bit draw's top 12 bits pick one of 2**12 equally
+likely standard-normal quantiles (normal_table.QUANTILES, |z| <= 3.67,
+variance 0.9997), which is scaled by noise_sigma and rounded in integers.
+No float operation and no C math library call is made, so the augmented
+bytes are the same on every platform.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, log, pi, sin, sqrt
+from functools import lru_cache
 
 from . import fixedpoint as fx
 from . import prg
 from .fairness import micro_fraction, to_micro
-from .model import Dataset, Sample
+from .model import _BATCH_BYTES, Dataset, Sample, _words
+from .normal_table import QUANTILES
 from .prg import threshold
 
-_U64 = 1 << 64
-_TWO_PI = 2.0 * pi
-_INDEX = struct.Struct("<Q")
+_QUIET = len(QUANTILES)  # the index bit that reads a zero step
+_SWAP = sys.byteorder != "little"  # records are little-endian on the wire
 
 SEED_BYTES = 8
 CONFIG_BYTES = 16  # without the seed
@@ -100,59 +106,68 @@ class AugmentorConfig:
         return cls.decode_public(data[SEED_BYTES:], data[:SEED_BYTES])
 
 
+@lru_cache(maxsize=4)  # augment() asks for it once per sample
+def _noise_steps(sigma: int) -> tuple[int, ...]:
+    """The noise a draw word u adds at scale sigma, indexed by u >> 52, then
+    4096 zeros: (QUANTILES[k] * sigma + 2**15) >> 16, the Q16.16 product
+    rounded in integers. Setting bit 12 of the index (a sample that noise
+    does not touch) reads a zero."""
+    return tuple((q * sigma + (1 << 15)) >> 16 for q in QUANTILES) + (0,) * len(QUANTILES)
+
+
 def _augment_records(
     config: AugmentorConfig, records: bytes | memoryview, dimension: int, first: int
 ) -> bytes | memoryview:
     """The augmented count x <HH{d}i> record block (model.Dataset's form);
-    record i is transformed with sample index first + i. A record left alone
-    is copied without being unpacked, and the ids pass through.
+    record i is transformed with sample index first + i, and the ids pass
+    through.
 
-    Sample i reads the stream keyed by master_seed || u64le(i) (prg module):
-    the noise and mask invocation draws, then, when noise applies, two
-    draws per pair of coordinates (Box-Muller: cos for the first, sin for
-    the second; an odd dimension leaves the last sin unused), then, when
-    masking applies, one draw per coordinate. Block 0 is hashed first, and
-    only the blocks those draws reach after it; a config that can change
-    nothing (invocation probability 0, or neither noise nor masking) hashes
-    no block and returns the block itself.
+    Sample i reads the words prg.sample_streams gives it, in this fixed
+    layout: its noise invocation word, its mask invocation word, d noise
+    words, then d mask words (read only when the mask probability is
+    nonzero). A coordinate noised with word u gains the step
+    _noise_steps(sigma)[u >> 52], saturated to int32; a coordinate masked
+    with word u becomes 0 when u is below the mask threshold; noise comes
+    first. The records are read as an int32 array and changed a column at
+    a time, in batches whose stream and records stay under _BATCH_BYTES. A
+    config that can change nothing (invocation probability 0, or neither
+    noise nor masking) draws no word and returns the block itself.
     """
     invoke = threshold(config.effective_invoke_prob)
     if not invoke or config.is_identity():
-        return records  # no draw could change a record, so none is hashed
-    sigma, mask = config.noise_sigma, threshold(config.mask_prob)
-    seed, pack, saturate = config.master_seed, _INDEX.pack, fx.saturate
-    d = dimension
-    record = struct.Struct(f"<HH{d}i")
-    out = []
-    for index, (raw,) in enumerate(struct.iter_unpack(f"{record.size}s", records), first):
-        key = seed + pack(index)
-        words = prg.stream_words(key, 0, 1)
-        noisy = sigma > 0 and words[0] < invoke
-        masked = mask > 0 and words[1] < invoke
-        if not (noisy or masked):
-            out.append(raw)
-            continue
-        used = 2 + (d + d % 2 if noisy else 0) + (d if masked else 0)
-        if used > prg.WORDS_PER_BLOCK:
-            words += prg.stream_words(key, 1, (used - 1) // prg.WORDS_PER_BLOCK)
-        group, label, *features = record.unpack(raw)
-        at = 2
-        if noisy:
-            for i in range(0, d, 2):
-                # As in CounterPrg.gauss, and in the same order (r * cos,
-                # then * sigma): the bytes depend on the float rounding.
-                r = sqrt(-2.0 * log((words[at] + 1) / _U64))  # (0, 1]: log stays finite
-                angle = _TWO_PI * (words[at + 1] / _U64)
-                at += 2
-                features[i] = saturate(features[i] + round(r * cos(angle) * sigma))
-                if i + 1 < d:
-                    features[i + 1] = saturate(features[i + 1] + round(r * sin(angle) * sigma))
-        if masked:
-            for i, u in enumerate(words[at : at + d]):
-                if u < mask:
-                    features[i] = 0
-        out.append(record.pack(group, label, *features))
-    return b"".join(out)
+        return records  # no draw could change a record, so none is made
+    d, mask, seed = dimension, threshold(config.mask_prob), config.master_seed
+    steps = _noise_steps(config.noise_sigma) if config.noise_sigma else None
+    per, stride = 2 + d + (d if mask else 0), 1 + d  # words a sample, ints a record
+    count = len(records) // (4 * stride)
+    batch = max(1, _BATCH_BYTES // (8 * per))
+    chunks = []
+    for lo in range(0, count, batch):
+        n = min(batch, count - lo)
+        words = _words(prg.sample_streams(seed, first + lo, n, per), "Q")
+        ints = array("i")
+        ints.frombytes(records[4 * stride * lo : 4 * stride * (lo + n)])
+        if _SWAP:
+            ints.byteswap()
+        # Per sample: the index bit that turns its noise off, and its mask threshold.
+        quiet = [0 if u < invoke else _QUIET for u in words[0::per]] if steps else None
+        limits = [mask if u < invoke else 0 for u in words[1::per]] if mask else None
+        for j in range(d):
+            column = ints[1 + j :: stride]
+            if quiet is not None:
+                noise = words[2 + j :: per]
+                column = [v + steps[(u >> 52) | q] for v, u, q in zip(column, noise, quiet)]
+            if limits is not None:
+                masks = words[2 + d + j :: per]
+                column = [0 if u < t else v for v, u, t in zip(column, masks, limits)]
+            try:
+                ints[1 + j :: stride] = array("i", column)
+            except OverflowError:  # noise took a value out of int32
+                ints[1 + j :: stride] = array("i", map(fx.saturate, column))
+        if _SWAP:
+            ints.byteswap()
+        chunks.append(ints.tobytes())
+    return b"".join(chunks)
 
 
 def augment(config: AugmentorConfig, sample: Sample, index: int) -> Sample:

@@ -107,9 +107,23 @@ def _q16(text: str) -> int:
     return round(Fraction(text) * fx.ONE)
 
 
+def _u64(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 1 << 64:
+        raise ValueError(f"{value} does not lie in [0, 2**64)")
+    return value
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{value} is negative")
+    return value
+
+
 _micro = _typed(parse_micro)
 _micro_list = _typed(parse_micro, each=True)
-_int_list = _typed(int, each=True)
+_counts = _typed(_count, each=True)
 _host_port = _typed(parse_endpoint)
 
 
@@ -122,16 +136,6 @@ def _write_out(path: str | None, write, rows) -> None:
         write(fh, rows)
 
 
-def _aug_from_args(args, label: str) -> AugmentorConfig:
-    return AugmentorConfig(
-        master_seed=derive_key(_seed_bytes(args.seed), label),
-        noise_sigma=args.aug_sigma,
-        mask_prob=args.mask_prob,
-        invoke_prob=args.invoke_prob,
-        degree=args.degree,
-    )
-
-
 def _add_spec_flags(parser) -> None:
     parser.add_argument("--eps", type=_micro, default="0.1", help="tolerance, micro-unit decimal")
     parser.add_argument("--delta", type=_micro, default="0.05", help="confidence parameter")
@@ -139,7 +143,10 @@ def _add_spec_flags(parser) -> None:
     parser.add_argument("--metric", default="ore", choices=["ore", "eo", "dp"])
 
 
-def _add_aug_flags(parser) -> None:
+def _add_aug_flags(parser, seed_label: str) -> None:
+    """The augmentor flags; main builds args.aug from them, its seed derived
+    from --seed under seed_label."""
+    parser.set_defaults(aug_label=seed_label)
     parser.add_argument("--aug-sigma", type=_typed(_q16), default="0.05",
                         help="noise scale, decimal")
     parser.add_argument("--mask-prob", type=_micro, default="0",
@@ -267,7 +274,7 @@ def cmd_certify(args) -> int:
     else:
         with open(args.data, "rb") as fh:
             dataset = decode_dataset(fh.read())
-        aug = _aug_from_args(args, "augment") if args.spec.augmented else None
+        aug = args.aug if args.spec.augmented else None
         keypair = keygen(_signing_seed(args.seed))
         regulator = Regulator(keypair, dataset, args.spec, aug)
         if args.vk_out:
@@ -359,7 +366,7 @@ def cmd_attack_knn(args) -> int:
     unfair = planted_model(unfair_cfg)
     ref_cfg = replace(config, seed=derive_key(config.seed, "reference"))
     reference, _, _ = generate_planted(ref_cfg, args.ref_size)
-    reference = augment_dataset(_aug_from_args(args, "attack-aug"), reference)
+    reference = augment_dataset(args.aug, reference)
     eval_cfg = replace(unfair_cfg, seed=derive_key(config.seed, "eval"))
     eval_dataset, _, _ = generate_planted(eval_cfg, args.eval_size)
     points = knn_attack_sweep(fair, unfair, reference.features, eval_dataset, args.taus)
@@ -369,7 +376,7 @@ def cmd_attack_knn(args) -> int:
 
 def cmd_augment_sweep(args) -> int:
     config = _load_config(args)
-    points = augmentation_sweep(config, args.m, _aug_from_args(args, "augment"), args.degrees)
+    points = augmentation_sweep(config, args.m, args.aug, args.degrees)
     _write_out(args.out, write_sweep_csv, points)
     return EXIT_OK
 
@@ -418,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
         # No prefix matching: an unknown flag is never read as a longer one it begins.
         p = sub.add_parser(name, allow_abbrev=False, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--seed", type=int, default=0, help="master seed (u64)")
+        p.add_argument("--seed", type=_typed(_u64), default=0, help="master seed (u64)")
         return p
 
     p = add("bound", cmd_bound, help="print the per-cell sample-count bound")
@@ -433,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("gen-data", cmd_gen_data, help="draw a planted test set to a file")
     p.add_argument("--config", required=True, help="planted-config JSON path")
     p.add_argument("--m", type=int, default=0)
-    p.add_argument("--group-counts", type=_int_list, help="exact per-group sizes, comma list")
+    p.add_argument("--group-counts", type=_counts, help="exact per-group sizes, comma list")
     p.add_argument("--out", required=True)
 
     p = add("gen-model", cmd_gen_model, help="write the planted model's canonical bytes")
@@ -443,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("certify", cmd_certify, help="run the certification protocol")
     _add_spec_flags(p)
-    _add_aug_flags(p)
+    _add_aug_flags(p, "augment")
     _add_role_flags(p, "certify")
     p.add_argument("--data")
     p.add_argument("--cert-out")
@@ -465,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--m", type=int, default=0)
-    p.add_argument("--group-counts", type=_int_list)
+    p.add_argument("--group-counts", type=_counts)
     _add_spec_flags(p)
     p.add_argument("--out")
 
@@ -477,13 +484,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-size", type=int, default=1000)
     p.add_argument("--taus", type=_typed(float, each=True), required=True,
                    help="comma list, inf allowed")
-    _add_aug_flags(p)
+    _add_aug_flags(p, "attack-aug")
     p.add_argument("--out")
 
     p = add("augment-sweep", cmd_augment_sweep, help="accuracy/gap across degrees")
     p.add_argument("--config", required=True)
     p.add_argument("--m", type=int, default=2000)
-    _add_aug_flags(p)
+    _add_aug_flags(p, "augment")
     p.add_argument("--degrees", type=_micro_list, default="0,0.25,0.5,0.75,1")
     p.add_argument("--out")
 
@@ -506,6 +513,17 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(args, "eps"):  # bound, certify, infer and experiment-coverage
         try:
             args.spec = FairnessSpec(FairnessMetric(args.metric), args.eps, args.delta, args.alpha)
+        except ValueError as exc:
+            parser.error(str(exc))
+    if hasattr(args, "aug_label"):  # certify, attack-knn and augment-sweep
+        try:
+            args.aug = AugmentorConfig(
+                master_seed=derive_key(_seed_bytes(args.seed), args.aug_label),
+                noise_sigma=args.aug_sigma,
+                mask_prob=args.mask_prob,
+                invoke_prob=args.invoke_prob,
+                degree=args.degree,
+            )
         except ValueError as exc:
             parser.error(str(exc))
     return args.fn(args)

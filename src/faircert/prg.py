@@ -5,9 +5,10 @@ Block i of the stream is SHA3-256(key || i as 8-byte little-endian), so a
 process, or call order. Each block is read as four little-endian 64-bit
 words, in order. `stream_bytes` is the one definition of that stream: the
 planted generator reads its bytes directly, and `stream_words` unpacks them
-for `CounterPrg` and the augmentor. All simulation randomness in the
-package (planted data, label flips, augmentation noise) flows through this
-module.
+for `CounterPrg`. The augmentor instead draws each sample's words with one
+extendable-output call, `sample_streams`. All simulation randomness in the
+package (planted data, label flips, augmentation noise and masks) flows
+through this module.
 
 A draw u is compared with a probability p exactly, as u / 2**64 < p, through
 the integer `threshold(p)`: for an integer u, u * den < num * 2**64 holds
@@ -17,12 +18,10 @@ exactly when u < ceil(num * 2**64 / den).
 from __future__ import annotations
 
 import hashlib
-import math
 import struct
 from fractions import Fraction
 
 _U64 = 1 << 64
-_TWO_PI = 2.0 * math.pi
 _COUNTER = struct.Struct("<Q")
 WORDS_PER_BLOCK = 4
 _BLOCK = struct.Struct(f"<{WORDS_PER_BLOCK}Q")
@@ -55,6 +54,15 @@ def stream_words(key: bytes, start: int, blocks: int) -> tuple[int, ...]:
     return struct.unpack(f"<{WORDS_PER_BLOCK * blocks}Q", data)
 
 
+def sample_streams(seed: bytes, first: int, count: int, words: int) -> bytes:
+    """The draws of samples first .. first + count - 1, `words` little-endian
+    64-bit words each, in sample order: sample i's are the first 8 * words
+    bytes of SHAKE256(seed || u64le(i)). A shorter read is a prefix of a
+    longer one."""
+    shake, pack, size = hashlib.shake_256, _COUNTER.pack, 8 * words
+    return b"".join([shake(seed + pack(i)).digest(size) for i in range(first, first + count)])
+
+
 def threshold(prob: Fraction) -> int:
     """The integer t with u < t exactly when u / 2**64 < prob, for every
     u in [0, 2**64): ceil(prob * 2**64), and 0 when prob <= 0."""
@@ -69,7 +77,6 @@ class CounterPrg:
         self._counter = 0
         self._words: tuple[int, ...] = ()
         self._pos = 0
-        self._gauss_spare: float | None = None
 
     def u64(self) -> int:
         pos = self._pos
@@ -92,27 +99,3 @@ class CounterPrg:
             if u < threshold(bound):
                 return idx
         return cumulative[-1][1]
-
-    def int_below(self, n: int) -> int:
-        """Uniform int in [0, n), exact: the next word below the largest
-        multiple of n that fits in 2**64, reduced mod n. Words at or above
-        that multiple are rejected (none are when n divides 2**64)."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        limit = _U64 - _U64 % n
-        u = self.u64()
-        while u >= limit:
-            u = self.u64()
-        return u % n
-
-    def gauss(self) -> float:
-        """Standard normal via Box-Muller on two 64-bit uniforms."""
-        if self._gauss_spare is not None:
-            z = self._gauss_spare
-            self._gauss_spare = None
-            return z
-        u1 = (self.u64() + 1) / _U64  # (0, 1], keeps log finite
-        u2 = self.u64() / _U64
-        r = math.sqrt(-2.0 * math.log(u1))
-        self._gauss_spare = r * math.sin(_TWO_PI * u2)
-        return r * math.cos(_TWO_PI * u2)

@@ -151,17 +151,27 @@ def test_criterion_04_completeness_on_fair_plant(capsys):
         )
 
 
+def _int_below(prg: CounterPrg, n: int) -> int:
+    """Uniform int in [0, n): the next draw below the largest multiple of n
+    that fits in 2**64, reduced mod n."""
+    limit = 2**64 - 2**64 % n
+    u = prg.u64()
+    while u >= limit:
+        u = prg.u64()
+    return u % n
+
+
 def _random_table(prg: CounterPrg) -> GroupRiskTable:
-    num_groups = 2 + prg.int_below(3)
-    num_labels = 2 + prg.int_below(2)
+    num_groups = 2 + _int_below(prg, 3)
+    num_labels = 2 + _int_below(prg, 2)
     m_gy, err_gy, pred_gy = [], [], []
     for _ in range(num_groups):
-        counts = tuple(1 + prg.int_below(60) for _ in range(num_labels))
-        errors = tuple(prg.int_below(c + 1) for c in counts)
+        counts = tuple(1 + _int_below(prg, 60) for _ in range(num_labels))
+        errors = tuple(_int_below(prg, c + 1) for c in counts)
         total = sum(counts)
         preds, remaining = [], total
         for j in range(num_labels - 1):
-            take = prg.int_below(remaining + 1)
+            take = _int_below(prg, remaining + 1)
             preds.append(take)
             remaining -= take
         preds.append(remaining)
@@ -181,7 +191,7 @@ def test_criterion_05_circuit_host_equivalence(capsys):
         table = _random_table(prg)
         spec = FairnessSpec(
             metric=metrics[i % 3],
-            epsilon=epsilons[prg.int_below(len(epsilons))],
+            epsilon=epsilons[_int_below(prg, len(epsilons))],
             delta=Fraction(1, 20),
         )
         if certification_decision(spec, table) != decide(spec, table).passed:
@@ -304,7 +314,7 @@ def test_criterion_07_merkle_avalanche(capsys):
     prg = CounterPrg(b"\x07" * 8)
     unchanged = 0
     for _ in range(1000):
-        bit = prg.int_below(len(blob) * 8)
+        bit = _int_below(prg, len(blob) * 8)
         blob[bit // 8] ^= 1 << (bit % 8)
         if merkle_root(bytes(blob)) == base:
             unchanged += 1

@@ -1,13 +1,16 @@
 import hashlib
 import math
 import struct
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faircert import augmentor as augmentor_module
 from faircert import fixedpoint as fx
+from faircert import prg as prg_module
 from faircert.augmentor import (
     AugmentorConfig,
     MalformedConfigError,
@@ -15,6 +18,7 @@ from faircert.augmentor import (
     augment_dataset,
 )
 from faircert.model import Dataset, Sample
+from faircert.normal_table import QUANTILES
 
 SEED = b"\xaa" * 8
 
@@ -219,44 +223,20 @@ def test_shape_laws_property(features, index, group, label):
 # --- augment_dataset against a per-sample reference loop --------------------------
 
 
-class _ReferencePrg:
-    """The counter stream drawn one word at a time, with Fraction
-    comparisons and a Box-Muller spare, as a plain reference."""
-
-    def __init__(self, key):
-        self.key, self.counter, self.buf, self.spare = key, 0, b"", None
-
-    def u64(self):
-        while len(self.buf) < 8:
-            self.buf += hashlib.sha3_256(self.key + struct.pack("<Q", self.counter)).digest()
-            self.counter += 1
-        value, self.buf = int.from_bytes(self.buf[:8], "little"), self.buf[8:]
-        return value
-
-    def below(self, prob):
-        u = self.u64()
-        return prob > 0 and Fraction(u, 2**64) < prob
-
-    def gauss(self):
-        if self.spare is not None:
-            z, self.spare = self.spare, None
-            return z
-        u1 = (self.u64() + 1) / 2**64
-        u2 = self.u64() / 2**64
-        r = math.sqrt(-2.0 * math.log(u1))
-        self.spare = r * math.sin(2.0 * math.pi * u2)
-        return r * math.cos(2.0 * math.pi * u2)
-
-
 def _reference_augment(cfg, features, index):
-    stream = _ReferencePrg(cfg.master_seed + struct.pack("<Q", index))
+    """One sample by the definition: one SHAKE256 call for all its words,
+    exact Fraction comparisons, a table lookup rounded in integers, then
+    saturation."""
+    d = len(features)
+    key = cfg.master_seed + struct.pack("<Q", index)
+    words = struct.unpack(f"<{2 + 2 * d}Q", hashlib.shake_256(key).digest(8 * (2 + 2 * d)))
     invoke = cfg.invoke_prob * cfg.degree
-    noise, mask = stream.below(invoke), stream.below(invoke)
     out = list(features)
-    if noise and cfg.noise_sigma > 0:
-        out = [fx.saturate(v + round(stream.gauss() * cfg.noise_sigma)) for v in out]
-    if mask and cfg.mask_prob > 0:
-        out = [0 if stream.below(cfg.mask_prob) else v for v in out]
+    if cfg.noise_sigma > 0 and Fraction(words[0], 2**64) < invoke:
+        steps = [(QUANTILES[u >> 52] * cfg.noise_sigma + 2**15) // 2**16 for u in words[2 : 2 + d]]
+        out = [fx.saturate(v + step) for v, step in zip(out, steps)]
+    if cfg.mask_prob > 0 and Fraction(words[1], 2**64) < invoke:
+        out = [0 if Fraction(u, 2**64) < cfg.mask_prob else v for v, u in zip(out, words[2 + d :])]
     return tuple(out)
 
 
@@ -277,7 +257,7 @@ def feature_rows(draw):
     return dim, rows
 
 
-@settings(max_examples=150)
+@settings(max_examples=150, deadline=None)
 @given(
     st.binary(min_size=8, max_size=8),
     st.one_of(
@@ -289,11 +269,89 @@ def feature_rows(draw):
     micro,
     micro,
     feature_rows(),
+    st.sampled_from((32, 512, augmentor_module._BATCH_BYTES)),
 )
-def test_augment_dataset_matches_the_reference_loop(seed, sigma, mask, invoke, degree, shape):
+def test_augment_dataset_matches_the_reference_loop(
+    seed, sigma, mask, invoke, degree, shape, batch_bytes
+):
+    # Small batches put batch edges between the rows, so later batches start
+    # at a nonzero sample index.
     dim, rows = shape
     cfg = AugmentorConfig(seed, sigma, mask, invoke, degree)
     dataset = Dataset.from_columns(dim, 1, 1, rows, [0] * len(rows), [0] * len(rows))
     expected = [_reference_augment(cfg, row, i) for i, row in enumerate(rows)]
-    assert list(augment_dataset(cfg, dataset).features) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(augmentor_module, "_BATCH_BYTES", batch_bytes)
+        assert list(augment_dataset(cfg, dataset).features) == expected
     assert augment(cfg, Sample(rows[-1], 0, 0), len(rows) - 1).features == expected[-1]
+    far = 2**40 + len(rows)  # past every batch of any set that fits in memory
+    assert augment(cfg, Sample(rows[0], 0, 0), far).features == _reference_augment(cfg, rows[0], far)
+
+
+def test_augmentation_calls_no_math_function(monkeypatch):
+    # The noise must not depend on how a platform's C library rounds: every
+    # math function a Gaussian sampler could use raises, wherever it is bound.
+    def refuse(*args):
+        raise AssertionError("the augmentor called a math function")
+
+    for module in (math, augmentor_module, prg_module, fx):
+        for name in ("log", "sqrt", "sin", "cos", "exp"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    cfg = config_of(sigma=3 * fx.ONE, mask="1/4", invoke="3/4")
+    rows = [(v, -v, 7 * v) for v in range(-300, 300)]
+    dataset = Dataset.from_columns(3, 1, 1, rows, [0] * len(rows), [0] * len(rows))
+    expected = [_reference_augment(cfg, row, i) for i, row in enumerate(rows)]
+    assert list(augment_dataset(cfg, dataset).features) == expected
+    assert sum(out != row for out, row in zip(expected, rows)) > 400
+
+
+# --- the pinned quantile table ----------------------------------------------------
+
+
+def _rebuild_quantiles(bins=4096, digits=40):
+    """round(2**16 * Phi^-1((k + 1/2) / bins)) for the upper half of the bins,
+    by Newton's method on Phi(z) - 1/2 = phi(z) * sum z**(2n+1) / (2n+1)!!,
+    in decimal arithmetic: exp and square root are correctly rounded in
+    software, and pi comes from a series, so no C math library is involved."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 2
+        # pi by the series of the decimal module's documentation recipe
+        last, t, s, n, na, d, da = 0, Decimal(3), Decimal(3), 1, 0, 0, 24
+        while s != last:
+            last = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = t * n / d
+            s += t
+        root_two_pi = (2 * s).sqrt()
+        tiny = Decimal(10) ** -(digits - 8)
+        z, upper = Decimal(0), []
+        for k in range(bins // 2):
+            target = Decimal(2 * k + 1) / (2 * bins)
+            while True:
+                z2, term, total, n = z * z, z, z, 1
+                while term and abs(term) > tiny * abs(total):
+                    term = term * z2 / (2 * n + 1)
+                    total += term
+                    n += 1
+                phi = (-z2 / 2).exp() / root_two_pi
+                step = total - target / phi
+                z -= step
+                if abs(step) < tiny:
+                    break
+            scaled = z * 2**16
+            nearest = scaled.to_integral_value(ROUND_HALF_EVEN)
+            assert abs(abs(scaled - nearest) - Decimal(1) / 2) > Decimal(10) ** -20  # no tie
+            upper.append(int(nearest))
+    return upper
+
+
+def test_quantile_table_matches_its_decimal_rebuild():
+    upper = _rebuild_quantiles()
+    assert list(QUANTILES[2048:]) == upper
+    assert all(QUANTILES[4095 - k] == -QUANTILES[k] for k in range(4096))
+    assert all(a < b for a, b in zip(QUANTILES, QUANTILES[1:]))
+    assert QUANTILES[-1] == 240408  # z = 3.6683: the truncation
+    variance = Fraction(sum(q * q for q in QUANTILES), 4096 * 2**32)
+    assert Fraction(999, 1000) <= variance <= 1

@@ -470,6 +470,17 @@ DEALER = ["--dealer", "127.0.0.1:9"]
          "--role server needs --cert"),
         (["certify", "--mode", "augmented", "--alpha", "0.25", "--data", "D", "--model", "M"],
          "unrecognized arguments: --mode augmented"),
+        (["audit", "--seed", "-1"], "--seed: -1 does not lie in [0, 2**64)"),
+        (["certify", "--alpha", "0.25", "--mask-prob", "2", "--data", "D", "--model", "M"],
+         "mask_prob must lie in [0, 1]"),
+        (["augment-sweep", "--config", "C", "--invoke-prob", "1.5"],
+         "invoke_prob must lie in [0, 1]"),
+        (["attack-knn", "--config", "C", "--fair-rates", "0,0", "--unfair-rates", "0,0",
+          "--taus", "1", "--degree", "2"], "degree must lie in [0, 1]"),
+        (["certify", "--alpha", "0.25", "--aug-sigma", "-0.5", "--data", "D", "--model", "M"],
+         "noise_sigma must be a nonnegative"),
+        (["gen-data", "--config", "C", "--group-counts", "5,-1", "--out", "O"],
+         "--group-counts: -1 is negative"),
     ],
     ids=(
         "port-too-large", "port-not-a-number", "missing",
@@ -477,6 +488,8 @@ DEALER = ["--dealer", "127.0.0.1:9"]
         "certify-eps-above-one", "feature-not-a-number", "infer-local-without-features",
         "certify-local-without-files", "certify-server-without-model",
         "estimate-gates-without-sizes", "infer-server-without-cert", "mode-is-gone",
+        "seed-negative", "mask-prob-above-one", "invoke-prob-above-one", "degree-above-one",
+        "aug-sigma-negative", "group-count-negative",
     ),
 )
 def test_a_bad_endpoint_is_a_usage_error(argv, message, capsys):

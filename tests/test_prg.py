@@ -8,10 +8,20 @@ from faircert.prg import (
     CounterPrg,
     derive_key,
     hash_u64,
+    sample_streams,
     stream_bytes,
     stream_words,
     threshold,
 )
+
+
+def test_sample_streams_are_one_shake_call_per_sample():
+    seed = b"\x03" * 8
+    expected = b"".join(
+        hashlib.shake_256(seed + i.to_bytes(8, "little")).digest(40) for i in range(7, 12)
+    )
+    assert sample_streams(seed, 7, 5, 5) == expected
+    assert sample_streams(seed, 9, 1, 2) == expected[80:96]  # a prefix of sample 9's words
 
 
 def test_derive_key_matches_hash():
@@ -69,20 +79,6 @@ def test_below_empirical_rate():
     assert abs(hits - 5000) < 200
 
 
-def test_int_below_range_and_rate():
-    prg = CounterPrg(b"\x07" * 8)
-    counts = [0] * 7
-    for _ in range(14000):
-        v = prg.int_below(7)
-        counts[v] += 1
-    assert all(1700 < c < 2300 for c in counts)
-
-
-def test_int_below_one_is_zero():
-    prg = CounterPrg(b"\x08" * 8)
-    assert prg.int_below(1) == 0
-
-
 def test_choose_weighted_exact():
     cumulative = [(Fraction(1, 3), 0), (Fraction(2, 3), 1), (Fraction(1), 2)]
     prg = CounterPrg(b"\x09" * 8)
@@ -90,21 +86,6 @@ def test_choose_weighted_exact():
     for _ in range(9000):
         counts[prg.choose_weighted(cumulative)] += 1
     assert all(2700 < c < 3300 for c in counts)
-
-
-def test_gauss_moments():
-    prg = CounterPrg(b"\x0a" * 8)
-    xs = [prg.gauss() for _ in range(20000)]
-    mean = sum(xs) / len(xs)
-    var = sum((x - mean) ** 2 for x in xs) / len(xs)
-    assert abs(mean) < 0.03
-    assert abs(var - 1.0) < 0.05
-
-
-def test_gauss_deterministic():
-    a = [CounterPrg(b"\x0b" * 8).gauss() for _ in range(3)]
-    b = [CounterPrg(b"\x0b" * 8).gauss() for _ in range(3)]
-    assert a == b
 
 
 @given(st.binary(min_size=8, max_size=8), st.binary(min_size=8, max_size=8))
@@ -198,25 +179,3 @@ def test_choose_weighted_agrees_with_the_fraction_scan(weights, draw):
 
     prg = FixedPrg(draws)
     assert [prg.choose_weighted(cumulative) for _ in draws] == [scan(u) for u in draws]
-
-
-@given(
-    st.integers(min_value=1, max_value=2**66),
-    st.lists(
-        st.one_of(
-            st.integers(min_value=0, max_value=U64 - 1),
-            st.integers(min_value=U64 - 64, max_value=U64 - 1),
-        ),
-        max_size=30,
-    ),
-)
-def test_int_below_rejects_words_above_the_limit(n, words):
-    # Words near 2**64 sit above the largest multiple of n that fits, for
-    # most n, and are rejected; the reference is the sequential loop. The
-    # draws stop at the last accepted word.
-    limit = U64 - U64 % n
-    accepted = [u % n for u in words if u < limit]
-    kept = [i for i, u in enumerate(words) if u < limit]
-    prg = FixedPrg(words)
-    assert [prg.int_below(n) for _ in accepted] == accepted
-    assert prg._draws == (words[kept[-1] + 1 :] if kept else words)
