@@ -4,105 +4,13 @@ A regulator measures a model's empirical fairness gap on a hidden test
 set inside a dealer-mediated secure computation, signs a certificate
 binding the model's digest to the tested fairness claim, and clients
 later verify that certificate before accepting predictions.
+
+Each public name is imported from its module (faircert.protocol.Regulator,
+faircert.fairness.decide, ...); the package root binds the modules only.
 """
 
-from .augmentor import AugmentorConfig, augment, augment_dataset
-from .crypto import (
-    Certificate,
-    KeyPair,
-    issue_certificate,
-    key_id,
-    keygen,
-    merkle_root,
-    sign,
-    verify,
-    verify_certificate,
-)
-from .dealer import FscSession, GateCostReport, estimate_gates, estimate_gates_for_model
-from .fairness import (
-    FairnessMetric,
-    FairnessSpec,
-    GroupRiskTable,
-    TestReport,
-    build_risk_table,
-    decide,
-    empirical_gap,
-    min_samples,
-    tail_bound,
-)
-from .model import (
-    BiasedModel,
-    Dataset,
-    LinearModel,
-    LookupModel,
-    PlantedConfig,
-    Sample,
-    decode_dataset,
-    deserialize_model,
-    encode_dataset,
-    generate_planted,
-    planted_model,
-    serialize_model,
-    true_gaps,
-)
-from .protocol import (
-    AcceptedPrediction,
-    CertFailure,
-    Client,
-    Regulator,
-    Reject,
-    Server,
-    run_certification_local,
-    run_inference_local,
-)
+from . import augmentor, crypto, dealer, fairness, model, protocol
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AcceptedPrediction",
-    "AugmentorConfig",
-    "BiasedModel",
-    "CertFailure",
-    "Certificate",
-    "Client",
-    "Dataset",
-    "FairnessMetric",
-    "FairnessSpec",
-    "FscSession",
-    "GateCostReport",
-    "GroupRiskTable",
-    "KeyPair",
-    "LinearModel",
-    "LookupModel",
-    "PlantedConfig",
-    "Regulator",
-    "Reject",
-    "Sample",
-    "Server",
-    "TestReport",
-    "augment",
-    "augment_dataset",
-    "build_risk_table",
-    "decide",
-    "decode_dataset",
-    "deserialize_model",
-    "empirical_gap",
-    "encode_dataset",
-    "estimate_gates",
-    "estimate_gates_for_model",
-    "generate_planted",
-    "issue_certificate",
-    "key_id",
-    "keygen",
-    "merkle_root",
-    "min_samples",
-    "planted_model",
-    "run_certification_local",
-    "run_inference_local",
-    "serialize_model",
-    "sign",
-    "tail_bound",
-    "true_gaps",
-    "verify",
-    "verify_certificate",
-]
+__all__ = ["augmentor", "crypto", "dealer", "fairness", "model", "protocol"]

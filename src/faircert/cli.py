@@ -3,7 +3,8 @@
 argparse checks every input before a command runs; the fairness spec is
 augmented exactly when --alpha is given. Exit codes: 0 success or accept, 2
 reject / not fair, or a bad or missing flag (argparse's usage on stderr), 3
-precondition failure, 4 protocol abort. Every command is deterministic given
+precondition failure, 4 protocol abort, or a peer that breaks the protocol
+or hangs up (one line on stderr). Every command is deterministic given
 --seed (default 0); CSV outputs are byte-stable.
 """
 
@@ -55,7 +56,9 @@ from .protocol import (
     REASON_SPEC_MISMATCH,
     AcceptedPrediction,
     CertFailure,
+    ChannelClosed,
     Client,
+    ProtocolError,
     Reject,
     Regulator,
     Server,
@@ -526,7 +529,11 @@ def main(argv: list[str] | None = None) -> int:
             )
         except ValueError as exc:
             parser.error(str(exc))
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ProtocolError, ChannelClosed) as exc:  # a peer deviated or hung up
+        print(f"aborted: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ABORT
 
 
 if __name__ == "__main__":

@@ -12,11 +12,11 @@ Two circuits exist, each one function of the two inputs: it parses both
 once, aborts on an input it cannot use, and evaluates. The certification
 circuit evaluates the server's model on the regulator's test bundle in one
 batch (augmenting it first when the bundle says so) and decides fairness
-with division-free integer comparisons: the gap test
-|err0*m1 - err1*m0| * 10**6 < threshold_micro * m0 * m1 per comparable
-pair, never forming a quotient. A compared cell with no samples aborts the
-session with EMPTY_CELL; every cell is checked before any pair, so the
-verdict does not depend on the order of the groups. The inference circuit
+with fairness.decide, the one certification rule: the exact rational gap
+is below the threshold and every relevant count reaches the sample bound
+at that gap. A compared cell with no samples aborts the session with
+EMPTY_CELL; every cell is checked before any pair, so the verdict does not
+depend on the order of the groups. The inference circuit
 returns the model's label for one query plus the Merkle digest of the model
 bytes actually used, which is what lets the client check the certificate
 afterwards. It scores the query's wire bytes as they arrived: a query is a
@@ -48,22 +48,11 @@ import functools
 import hashlib
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .augmentor import AugmentorConfig, augment_dataset
 from .crypto import merkle_root, encode_fairness_spec, decode_fairness_spec
-from .fairness import (
-    EmptyCellError,
-    FairnessSpec,
-    GroupRiskTable,
-    MICRO,
-    build_risk_table,
-    comparison_cells,
-    empirical_gap,
-    min_samples,
-    relevant_counts,
-    to_micro,
-)
+from .fairness import EmptyCellError, FairnessSpec, GroupRiskTable, build_risk_table, decide
+from .fairness import min_samples  # noqa: F401  (bench/ traces it here)
 from .model import (
     MODEL_HEADER_BYTES,
     BiasedModel,
@@ -146,38 +135,9 @@ def decode_test_bundle(
     return spec, decode_dataset(memoryview(data)[offset:]), aug
 
 
-# Division-free fairness decision. This is the circuit's route; the host
-# route in fairness.decide compares exact rationals. Keep them separate.
-
-def integer_gap_strictly_below(
-    table: GroupRiskTable, metric, threshold: Fraction
-) -> bool:
-    """Gap < threshold decided purely on integers via cross-multiplication.
-
-    As empirical_gap does, it raises EmptyCellError when a compared cell
-    has no samples: every cell is checked before any pair is compared, so
-    the outcome does not depend on the order of the groups.
-    """
-    classes = comparison_cells(table, metric)
-    if table.num_groups > 1 and any(d == 0 for cells in classes for _, d in cells):
-        raise EmptyCellError("a compared cell has no samples")
-    t_micro = to_micro(threshold)
-    for cells in classes:
-        for i, (n0, d0) in enumerate(cells):
-            for n1, d1 in cells[i + 1 :]:
-                if abs(n0 * d1 - n1 * d0) * MICRO >= t_micro * d0 * d1:
-                    return False
-    return True
-
-
 def certification_decision(spec: FairnessSpec, table: GroupRiskTable) -> bool:
-    """The circuit's pass bit: integer gap test plus the sample-count
-    condition on the public counts, evaluated beside the integer core."""
-    if not integer_gap_strictly_below(table, spec.metric, spec.threshold):
-        return False
-    gap = empirical_gap(table, spec.metric)
-    required = min_samples(spec, gap, table.num_groups, table.num_labels)
-    return min(relevant_counts(table, spec.metric)) >= required
+    """The circuit's pass bit: fairness.decide's verdict on the table."""
+    return decide(spec, table).passed
 
 
 def encode_query(features: tuple[int, ...]) -> bytes:

@@ -279,17 +279,6 @@ def min_samples(
     return math.ceil(2.0 / (margin * margin) * math.log(float(log_arg)))
 
 
-def tail_bound(m: int, half_width: float) -> float:
-    """Two-sided concentration tail for an empirical rate over m samples:
-    the chance it sits more than half_width from its mean, capped at 1.
-    """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if half_width <= 0:
-        raise ValueError("half_width must be positive")
-    return min(1.0, 2.0 * math.exp(-m * (2.0 * half_width) ** 2 / 2.0))
-
-
 @dataclass(frozen=True)
 class TestReport:
     """Outcome of the certification decision rule."""

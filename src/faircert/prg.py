@@ -4,11 +4,11 @@ Block i of the stream is SHA3-256(key || i as 8-byte little-endian), so a
 (key, index) pair always yields the same draws regardless of platform,
 process, or call order. Each block is read as four little-endian 64-bit
 words, in order. `stream_bytes` is the one definition of that stream: the
-planted generator reads its bytes directly, and `stream_words` unpacks them
-for `CounterPrg`. The augmentor instead draws each sample's words with one
-extendable-output call, `sample_streams`. All simulation randomness in the
-package (planted data, label flips, augmentation noise and masks) flows
-through this module.
+planted generator reads its bytes directly, and `CounterPrg` unpacks one
+block at a time into words. The augmentor instead draws each sample's words
+with one extendable-output call, `sample_streams`. All simulation randomness
+in the package (planted data, label flips, augmentation noise and masks)
+flows through this module.
 
 A draw u is compared with a probability p exactly, as u / 2**64 < p, through
 the integer `threshold(p)`: for an integer u, u * den < num * 2**64 holds
@@ -41,17 +41,7 @@ def stream_bytes(key: bytes, start: int, blocks: int) -> bytes:
     """Blocks start .. start + blocks - 1 of key's stream, 32 bytes each, in
     stream order."""
     sha3, pack = hashlib.sha3_256, _COUNTER.pack
-    if blocks == 1:
-        return sha3(key + pack(start)).digest()
     return b"".join([sha3(key + pack(i)).digest() for i in range(start, start + blocks)])
-
-
-def stream_words(key: bytes, start: int, blocks: int) -> tuple[int, ...]:
-    """The words of those blocks, four per block, in stream order."""
-    data = stream_bytes(key, start, blocks)
-    if blocks == 1:
-        return _BLOCK.unpack(data)
-    return struct.unpack(f"<{WORDS_PER_BLOCK * blocks}Q", data)
 
 
 def sample_streams(seed: bytes, first: int, count: int, words: int) -> bytes:
@@ -81,7 +71,7 @@ class CounterPrg:
     def u64(self) -> int:
         pos = self._pos
         if pos == len(self._words):
-            self._words = stream_words(self._key, self._counter, 1)
+            self._words = _BLOCK.unpack(stream_bytes(self._key, self._counter, 1))
             self._counter += 1
             pos = 0
         self._pos = pos + 1

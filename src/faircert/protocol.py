@@ -15,10 +15,12 @@ Certification: after a local sample-count precheck (which, on failure, ends
 the run before the server learns anything), the regulator announces the spec
 and only the total sample count, both parties feed the certification
 circuit, and the regulator turns a favourable fair-bit into a signed
-certificate over the model digest the circuit reported. In augmented mode
-the regulator first commits to the augmentor parameters (seed withheld) in
-the request, the server commits to its dealer input by echoing that frame's
-digest, and only then is the 8-byte master seed revealed.
+certificate over the model digest the circuit reported; the server keeps it
+only if it parses and names the server's own model root and the requested
+spec. In augmented mode the regulator first commits to the augmentor
+parameters (seed withheld) in the request, the server commits to its dealer
+input by echoing that frame's digest, and only then is the 8-byte master
+seed revealed.
 
 Inference: the server presents its certificate before the compute; the
 client then checks the signature against the digest of the model that was
@@ -47,6 +49,7 @@ from .crypto import (
     encode_fairness_spec,
     issue_certificate,
     key_id,
+    merkle_root,
     verify,
 )
 from .dealer import (
@@ -241,10 +244,6 @@ class RecordingChannel:
     def close(self) -> None:
         self._inner.close()
 
-    def wire_transcript(self) -> bytes:
-        """Sent bytes in order; stable across runs for fixed seeds."""
-        return b"".join(self.sent)
-
 
 ChannelFactory = Callable[[], object]
 
@@ -438,7 +437,7 @@ class Server:
         request = _expect(
             regulator_channel.recv_frame(), FRAME_CERT_REQUEST, "a certification request"
         )
-        _spec, _total, aug_public = decode_cert_request(request)
+        spec, _total, aug_public = decode_cert_request(request)
         chan_f = dealer_factory()
         _hello(chan_f, ROLE_SERVER, ROLE_DEALER)
         input_frame = Frame(FRAME_COMPUTE_INPUT, bytes([CIRCUIT_CERT]) + self.model_bytes)
@@ -452,13 +451,26 @@ class Server:
             _expect(reveal, FRAME_SEED_REVEAL, "the augmentor seed reveal", SEED_BYTES)
         outcome = regulator_channel.recv_frame()
         if outcome.type == FRAME_CERTIFICATE:
-            self.certificate = Certificate.from_bytes(outcome.payload)
-            return self.certificate
+            return self._accept_certificate(outcome.payload, spec)
         if outcome.type == FRAME_REJECT:
             return CertFailure(_parse_reject(outcome))
         if outcome.type == FRAME_ABORT:
             return CertFailure(REASON_FSC_ABORT)
         raise ProtocolError("unexpected certification outcome frame")
+
+    def _accept_certificate(self, data: bytes, spec: FairnessSpec) -> Certificate | CertFailure:
+        """Store the issued certificate if it parses and names this model's
+        root and the spec the regulator asked for; otherwise store nothing."""
+        try:
+            cert = Certificate.from_bytes(data)
+        except MalformedCertificateError:
+            return CertFailure(REASON_SIG_INVALID)
+        if cert.spec != spec:
+            return CertFailure(REASON_SPEC_MISMATCH)
+        if cert.model_digest != merkle_root(self.model_bytes):
+            return CertFailure(REASON_SIG_INVALID)
+        self.certificate = cert
+        return cert
 
     def serve_inference(
         self, client_channel, dealer_factory: ChannelFactory

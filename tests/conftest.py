@@ -1,5 +1,7 @@
-"""Shared builders and the loopback TCP link used across test files."""
+"""Shared builders, the loopback TCP link and the restated certification rule
+used across test files."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,13 @@ from hypothesis import strategies as st
 
 from faircert import crypto, dealer
 from faircert.crypto import keygen
-from faircert.fairness import FairnessMetric, FairnessSpec
+from faircert.fairness import (
+    REASON_GAP_TOO_LARGE,
+    REASON_INSUFFICIENT_SAMPLES,
+    EmptyCellError,
+    FairnessMetric,
+    FairnessSpec,
+)
 from faircert.model import PlantedConfig, generate_planted
 from faircert.protocol import (
     FRAME_COMPUTE_INPUT,
@@ -109,15 +117,56 @@ def returns_or_raises(decode, blobs, error):
             pass
 
 
-class DealerInputRewriter:
-    """A party's dealer channel that sends rewrite(frame) in place of its
-    compute input frame, as a deviating party's might."""
+def restated_rule(spec, table):
+    """The certification rule stated apart from faircert.fairness: None when
+    the table passes, else the reason it fails. The gap test is integer
+    cross-multiplication, |n0*d1 - n1*d0| * 10**6 < t_micro * d0 * d1 for
+    every compared pair of cells, with no quotient formed. The count test
+    asks each relevant count to reach 2 / (t - gap)^2 * ln(2|G||Y| / delta)
+    at the observed gap. A compared cell with no samples raises
+    EmptyCellError."""
+    num_groups, num_labels = len(table.m_gy), len(table.m_gy[0])
+    m_g = [sum(row) for row in table.m_gy]
+    if spec.metric is FairnessMetric.ORE:
+        classes = [[(sum(table.err_gy[g]), m_g[g]) for g in range(num_groups)]]
+    elif spec.metric is FairnessMetric.EO:
+        classes = [
+            [(table.err_gy[g][y], table.m_gy[g][y]) for g in range(num_groups)]
+            for y in range(num_labels)
+        ]
+    else:
+        classes = [
+            [(table.pred_gy[g][y], m_g[g]) for g in range(num_groups)]
+            for y in range(num_labels)
+        ]
+    if num_groups > 1 and any(d == 0 for cells in classes for _, d in cells):
+        raise EmptyCellError("a compared cell has no samples")
+    pairs = [
+        (abs(n0 * d1 - n1 * d0), d0 * d1)
+        for cells in classes
+        for i, (n0, d0) in enumerate(cells)
+        for n1, d1 in cells[i + 1 :]
+    ]
+    t_micro = int(spec.threshold * 10**6)
+    if any(diff * 10**6 >= t_micro * den for diff, den in pairs):
+        return REASON_GAP_TOO_LARGE
+    gap = max((Fraction(diff, den) for diff, den in pairs), default=Fraction(0))
+    margin = float(spec.threshold - gap)
+    log_arg = float(Fraction(2 * num_groups * num_labels) / spec.delta)
+    needed = math.ceil(2.0 / (margin * margin) * math.log(log_arg))
+    counts = [c for row in table.m_gy for c in row] if spec.metric is FairnessMetric.EO else m_g
+    return None if min(counts) >= needed else REASON_INSUFFICIENT_SAMPLES
 
-    def __init__(self, inner, rewrite):
-        self._inner, self._rewrite = inner, rewrite
+
+class FrameRewriter:
+    """A party's channel that sends rewrite(frame) in place of each frame of
+    one type, as a deviating party's might."""
+
+    def __init__(self, inner, frame_type, rewrite):
+        self._inner, self._type, self._rewrite = inner, frame_type, rewrite
 
     def send_frame(self, frame):
-        if frame.type == FRAME_COMPUTE_INPUT:
+        if frame.type == self._type:
             frame = self._rewrite(frame)
         self._inner.send_frame(frame)
 
@@ -135,7 +184,9 @@ def rewriting_dealer_input(monkeypatch, role_class, method, rewrite):
     monkeypatch.setattr(
         role_class,
         method,
-        lambda self, peer, dealer: role(self, peer, lambda: DealerInputRewriter(dealer(), rewrite)),
+        lambda self, peer, dealer: role(
+            self, peer, lambda: FrameRewriter(dealer(), FRAME_COMPUTE_INPUT, rewrite)
+        ),
     )
 
 

@@ -10,7 +10,16 @@ from faircert import cli
 from faircert.cli import main
 from faircert.crypto import Certificate, verify_certificate
 from faircert.model import PlantedConfig, decode_dataset, deserialize_model
-from faircert.protocol import Server
+from faircert.protocol import (
+    FRAME_CERT_REQUEST,
+    ROLE_REGULATOR,
+    ChannelClosed,
+    Frame,
+    Server,
+    accept_channel,
+    exchange_hello,
+    open_listener,
+)
 
 
 @pytest.fixture
@@ -442,6 +451,52 @@ def test_certify_over_tcp_empty_dealer_input_exits_4_on_every_role(
     capsys.readouterr()
     rewriting_dealer_input(monkeypatch, Server, "serve_certification", NO_CIRCUIT["empty"])
     certify_over_tcp_exits_4_on_every_role(data, model, capsys)
+
+
+# What a deviating regulator sends the server after the hellos, and the
+# one line the server role then prints on stderr.
+DEVIATIONS = {
+    "truncated-request": (
+        [Frame(FRAME_CERT_REQUEST, b"\x00\x01")],
+        "aborted: ProtocolError: certification request spec: truncated spec encoding",
+    ),
+    "hang-up": ([], "aborted: ChannelClosed: peer closed the connection"),
+}
+
+
+@pytest.mark.parametrize("frames, line", DEVIATIONS.values(), ids=DEVIATIONS.keys())
+def test_certify_server_facing_a_deviating_regulator_exits_4(
+    tmp_path, config_path, capsys, frames, line
+):
+    model = tmp_path / "model.bin"
+    assert main(["gen-model", "--config", config_path, "--out", str(model)]) == 0
+    capsys.readouterr()
+    listener = open_listener("127.0.0.1", 0)
+
+    def regulator():
+        chan = accept_channel(listener, 10.0)
+        exchange_hello(chan, ROLE_REGULATOR)
+        for frame in frames:
+            chan.send_frame(frame)
+        if frames:
+            try:  # until the server hangs up, so no frame is lost to our close
+                chan.recv_frame()
+            except ChannelClosed:
+                pass
+        chan.close()
+
+    thread = threading.Thread(target=regulator, daemon=True)
+    thread.start()
+    try:
+        code = main(["certify", "--role", "server", "--model", str(model),
+                     "--connect", f"127.0.0.1:{listener.getsockname()[1]}",
+                     "--dealer", "127.0.0.1:9"])
+        thread.join(timeout=10)
+    finally:
+        listener.close()
+    assert not thread.is_alive()
+    assert code == 4
+    assert capsys.readouterr().err.splitlines() == [line]
 
 
 BOUND = ["--efg", "0", "--delta", "0.05", "--groups", "2"]

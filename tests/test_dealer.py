@@ -5,7 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from conftest import mutated, returns_or_raises
+from conftest import mutated, restated_rule, returns_or_raises
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,10 +32,11 @@ from faircert.dealer import (
     encode_test_bundle,
     estimate_gates,
     estimate_gates_for_model,
-    integer_gap_strictly_below,
     query_dimension,
 )
 from faircert.fairness import (
+    REASON_GAP_TOO_LARGE,
+    REASON_INSUFFICIENT_SAMPLES,
     EmptyCellError,
     FairnessMetric,
     FairnessSpec,
@@ -194,7 +195,7 @@ def test_query_decode_raises_only_value_error(features, noise, data):
     returns_or_raises(query_dimension, (noise, mutated(data, blob)), ValueError)
 
 
-# --- division-free decision route ---------------------------------------------
+# --- the certification rule ------------------------------------------------------
 
 
 @st.composite
@@ -230,25 +231,20 @@ def outcome(fn, *args):
 
 @settings(max_examples=300)
 @given(random_tables(), threshold_micro)
-def test_integer_route_agrees_with_rationals(table, threshold):
+def test_circuit_decision_agrees_with_host_decide(table, threshold):
+    # Both give the restated rule's verdict, at fixed tolerances and at one
+    # drawn anywhere on the micro grid.
     for metric in FairnessMetric:
-        gap = outcome(empirical_gap, table, metric)
-        exact = gap if gap is EmptyCellError else gap < threshold
-        assert outcome(integer_gap_strictly_below, table, metric, threshold) == exact
-
-
-@settings(max_examples=200)
-@given(random_tables())
-def test_circuit_decision_agrees_with_host_decide(table):
-    for metric in FairnessMetric:
-        for eps in (Fraction(1, 10), Fraction(1, 4), Fraction(3, 4)):
+        for eps in (Fraction(1, 10), Fraction(1, 4), Fraction(3, 4), threshold):
             spec = FairnessSpec(metric=metric, epsilon=eps, delta=Fraction(1, 5))
+            expected = outcome(restated_rule, spec, table)
             host = outcome(decide, spec, table)
-            expected = host if host is EmptyCellError else host.passed
-            assert outcome(certification_decision, spec, table) == expected
+            assert (host if host is EmptyCellError else host.failure_reason) == expected
+            passed = expected if expected is EmptyCellError else expected is None
+            assert outcome(certification_decision, spec, table) == passed
 
 
-def test_integer_route_unequal_group_sizes():
+def test_decide_gap_boundary_unequal_group_sizes():
     # rates 1/3 vs 1/4: gap 1/12; thresholds straddling it, micro-grid exact
     dataset = Dataset(
         1,
@@ -260,8 +256,10 @@ def test_integer_route_unequal_group_sizes():
     preds = [1, 0, 0] + [1, 0, 0, 0]
     table = build_risk_table(dataset, preds)
     assert empirical_gap(table, FairnessMetric.ORE) == Fraction(1, 12)
-    assert integer_gap_strictly_below(table, FairnessMetric.ORE, Fraction(83_334, 10**6))
-    assert not integer_gap_strictly_below(table, FairnessMetric.ORE, Fraction(83_333, 10**6))
+    expected = {83_333: REASON_GAP_TOO_LARGE, 83_334: REASON_INSUFFICIENT_SAMPLES}
+    for units, reason in expected.items():
+        spec = FairnessSpec(FairnessMetric.ORE, micro_fraction(units), Fraction(1, 5))
+        assert decide(spec, table).failure_reason == reason == restated_rule(spec, table)
 
 
 # --- session -------------------------------------------------------------------

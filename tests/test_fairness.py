@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,6 @@ from faircert.fairness import (
     min_samples,
     parse_micro,
     relevant_counts,
-    tail_bound,
     to_micro,
 )
 from faircert.model import Dataset, Sample
@@ -289,26 +289,6 @@ def test_min_samples_decreasing_in_delta():
     assert loose < tight
 
 
-# --- concentration tail ----------------------------------------------------
-
-
-def test_tail_bound_frozen_value():
-    value = tail_bound(4061, 0.025)
-    assert value == pytest.approx(0.0124862, rel=1e-4)
-    assert 4 * value <= 0.05
-
-
-def test_tail_bound_caps_at_one():
-    assert tail_bound(1, 0.01) == 1.0
-
-
-def test_tail_bound_validation():
-    with pytest.raises(ValueError):
-        tail_bound(0, 0.1)
-    with pytest.raises(ValueError):
-        tail_bound(10, 0.0)
-
-
 @given(
     st.integers(min_value=1, max_value=50_000).map(micro_fraction),
     st.integers(min_value=1, max_value=199_999).map(micro_fraction),
@@ -317,12 +297,14 @@ def test_tail_bound_validation():
 )
 def test_union_bound_meets_delta(delta, epsilon, num_groups, num_labels):
     """The bound's defining property: at the returned size, the per-cell tail
-    times the number of cells stays within the confidence budget."""
+    times the number of cells stays within the confidence budget. Each side
+    of the Hoeffding tail of a rate over m samples at half-width h is
+    exp(-2 * m * h^2), and the union runs over both sides of every cell."""
     spec = spec_of(epsilon, delta)
     m = min_samples(spec, Fraction(0), num_groups, num_labels)
     half_width = float(epsilon) / 2.0
-    union = 2 * num_groups * num_labels * tail_bound(m, half_width) / 2.0
-    assert union <= float(delta) * (1 + 1e-9)
+    one_sided = math.exp(-2.0 * m * half_width * half_width)
+    assert 2 * num_groups * num_labels * one_sided <= float(delta) * (1 + 1e-9)
 
 
 # --- the decision rule ------------------------------------------------------

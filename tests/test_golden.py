@@ -179,7 +179,7 @@ def _inference_bytes(kind: str) -> bytes:
     lines = run.session.transcript_lines() + [
         f"{entry.party} {entry.name} {entry.length}" for entry in run.session.leakage_log
     ]
-    wires = [name.encode() + run.recorders[name].wire_transcript() for name in sorted(run.recorders)]
+    wires = [name.encode() + b"".join(run.recorders[name].sent) for name in sorted(run.recorders)]
     outcome = struct.pack("<H", result.label) + result.model_digest
     return "\n".join(lines).encode() + b"".join(wires) + outcome
 

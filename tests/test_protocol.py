@@ -10,6 +10,7 @@ from conftest import (
     CHEAP_SPEC,
     KEY_SEED,
     NO_CIRCUIT,
+    FrameRewriter,
     certification_setup,
     mutated,
     naming_circuit,
@@ -44,6 +45,7 @@ from faircert.model import (
 )
 from faircert.protocol import (
     FRAME_ABORT,
+    FRAME_CERTIFICATE,
     FRAME_COMPUTE_INPUT,
     FRAME_HELLO,
     MAX_FRAME_BYTES,
@@ -357,6 +359,46 @@ def test_unfair_model_rejected():
     assert server.certificate is None
 
 
+OTHER_SPEC = FairnessSpec(metric=FairnessMetric.ORE, epsilon=Fraction(1, 4), delta=Fraction(1, 5))
+
+# What a deviating regulator sends in place of the certificate it issued,
+# and the server's outcome for it.
+FORGED_CERTIFICATES = {
+    "truncated": (lambda cert: b"FCRT1trunc", REASON_SIG_INVALID),
+    "empty": (lambda cert: b"", REASON_SIG_INVALID),
+    "other-root": (
+        lambda cert: issue_certificate(keygen(KEY_SEED), bytes(32), cert.spec).to_bytes(),
+        REASON_SIG_INVALID,
+    ),
+    "other-spec": (
+        lambda cert: issue_certificate(keygen(KEY_SEED), cert.model_digest, OTHER_SPEC).to_bytes(),
+        REASON_SPEC_MISMATCH,
+    ),
+}
+
+
+@pytest.mark.parametrize("forge, reason", FORGED_CERTIFICATES.values(),
+                         ids=FORGED_CERTIFICATES.keys())
+def test_server_stores_no_certificate_it_was_not_owed(monkeypatch, forge, reason):
+    def forged(frame):
+        return Frame(FRAME_CERTIFICATE, forge(Certificate.from_bytes(frame.payload)))
+
+    certify = Regulator.certify
+    monkeypatch.setattr(
+        Regulator,
+        "certify",
+        lambda self, server, dealer: certify(
+            self, lambda: FrameRewriter(server(), FRAME_CERTIFICATE, forged), dealer
+        ),
+    )
+    regulator, server, _, _ = certification_setup()
+    for link in LINKS:
+        run = run_certification_local(regulator, server, link=link)
+        assert isinstance(run.regulator_result, Certificate)
+        assert run.server_result == CertFailure(reason)
+        assert server.certificate is None
+
+
 def test_precheck_failure_never_contacts_server():
     regulator, server, _, _ = certification_setup(group_counts=(10, 10))
     run = run_certification_local(regulator, server)
@@ -518,7 +560,7 @@ def _wire_and_session_transcripts(links):
         regulator, server, _, _ = certification_setup()
         run = run_certification_local(regulator, server, link=link)
         assert isinstance(run.regulator_result, Certificate)
-        wires.append({k: rec.wire_transcript() for k, rec in run.recorders.items()})
+        wires.append({k: b"".join(rec.sent) for k, rec in run.recorders.items()})
         lines.append(run.session.transcript_lines())
     assert len(wires[0]["reg_to_dealer"]) > 0
     return wires, lines
