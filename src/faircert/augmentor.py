@@ -122,14 +122,15 @@ def _augment_records(
     record i is transformed with sample index first + i, and the ids pass
     through.
 
-    Sample i reads the words prg.sample_streams gives it, in this fixed
-    layout: its noise invocation word, its mask invocation word, d noise
-    words, then d mask words (read only when the mask probability is
-    nonzero). A coordinate noised with word u gains the step
+    Sample i reads words i * (2 + 2d) onward of the master seed's
+    prg.stream, in this fixed layout: its noise invocation word, its mask
+    invocation word, d noise words, then d mask words, which are reserved
+    (unread) when the mask probability is 0, so masking moves no noise
+    word. A coordinate noised with word u gains the step
     _noise_steps(sigma)[u >> 52], saturated to int32; a coordinate masked
     with word u becomes 0 when u is below the mask threshold; noise comes
     first. The records are read as an int32 array and changed a column at
-    a time, in batches whose stream and records stay under _BATCH_BYTES. A
+    a time, in batches whose words and records stay under _BATCH_BYTES. A
     config that can change nothing (invocation probability 0, or neither
     noise nor masking) draws no word and returns the block itself.
     """
@@ -138,13 +139,13 @@ def _augment_records(
         return records  # no draw could change a record, so none is made
     d, mask, seed = dimension, threshold(config.mask_prob), config.master_seed
     steps = _noise_steps(config.noise_sigma) if config.noise_sigma else None
-    per, stride = 2 + d + (d if mask else 0), 1 + d  # words a sample, ints a record
+    per, stride = 2 + 2 * d, 1 + d  # words a sample, ints a record
     count = len(records) // (4 * stride)
     batch = max(1, _BATCH_BYTES // (8 * per))
     chunks = []
     for lo in range(0, count, batch):
         n = min(batch, count - lo)
-        words = _words(prg.sample_streams(seed, first + lo, n, per), "Q")
+        words = _words(prg.stream(seed, (first + lo) * per, n * per), "Q")
         ints = array("i")
         ints.frombytes(records[4 * stride * lo : 4 * stride * (lo + n)])
         if _SWAP:

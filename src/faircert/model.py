@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 from . import fixedpoint as fx
 from .fairness import IdOutOfRangeError, micro_fraction, to_micro
-from .prg import WORDS_PER_BLOCK, derive_key, stream_bytes, threshold
+from .prg import derive_key, stream, threshold
 from .prg import hash_u64  # noqa: F401  (defines the flip draw; bench/ traces it here)
 
 MODEL_MAGIC = b"FAIRM1"
@@ -48,8 +48,8 @@ _WIRE_IDS = 1 << 16  # group and label ids are u16 in a dataset record
 # Byte 2 of a planted noise word to the high bytes of its value (see
 # _planted_records): 0xff when bit 0, which is bit 16 of the word, is clear.
 _SIGNS = bytes(0 if b & 1 else 0xFF for b in range(256))
-# Bytes a planted batch's stream or records take at most, unless four
-# samples take more. They then stay below the size at which the C allocator
+# Bytes a planted batch's words or records take at most, unless one
+# sample takes more. They then stay below the size at which the C allocator
 # maps a buffer apart; freeing a mapped buffer raises that size for the rest
 # of the process, which then grows its heap instead.
 _BATCH_BYTES = 1 << 16
@@ -754,9 +754,10 @@ def generate_planted(
     2**64). A noise coordinate is u mod 2**17, less ONE: uniform in
     [-1, 1) at exact Q16.16 resolution. 2**17 divides 2**64, so no word is
     ever rejected, and a set of N samples reads exactly its first
-    N * (1 + noise_dims) words, each hashed once. Features are a one-hot
-    +/-ONE block that decodes the label, then the noise. Samples are drawn in
-    batches of a multiple of four, so that each batch starts on a block.
+    N * (1 + noise_dims) words. Features are a one-hot +/-ONE block that
+    decodes the label, then the noise. Samples are drawn in batches whose
+    words or records stay under _BATCH_BYTES; a batch edge may fall inside
+    a stream block, which both batches then hash.
     """
     labels_count, per = config.num_labels, 1 + config.noise_dims
     if group_counts is None:
@@ -787,14 +788,14 @@ def generate_planted(
     prefixes = [pack(g, y, *one_hot[y]) for g in range(config.num_groups) for y in labels_range]
     key = derive_key(config.seed, "data")
     sample_bytes = max(8 * per, 4 + 4 * config.dimension)  # its words, or its record
-    batch = WORDS_PER_BLOCK * max(1, _BATCH_BYTES // (WORDS_PER_BLOCK * sample_bytes))
+    batch = max(1, _BATCH_BYTES // sample_bytes)
     cells, chunks = [], []
     for first in range(0, count, batch):
         n = min(batch, count - first)
-        stream = stream_bytes(key, first * per // WORDS_PER_BLOCK, -(-n * per // WORDS_PER_BLOCK))
-        draws = _words(stream, "Q")[: n * per : per]
+        words = stream(key, first * per, n * per)
+        draws = _words(words, "Q")[::per]
         drawn = list(map(bisect_right, repeat(limits), draws, islice(lows, n), islice(highs, n)))
-        chunks.append(_planted_records(prefixes, drawn, stream[: 8 * n * per], per))
+        chunks.append(_planted_records(prefixes, drawn, words, per))
         cells += drawn
     groups = tuple(map(floordiv, cells, repeat(labels_count)))
     labels = tuple(map(mod, cells, repeat(labels_count)))

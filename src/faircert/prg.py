@@ -1,14 +1,13 @@
-"""Deterministic counter-mode pseudorandom generator.
+"""Deterministic block-keyed pseudorandom generator.
 
-Block i of the stream is SHA3-256(key || i as 8-byte little-endian), so a
-(key, index) pair always yields the same draws regardless of platform,
-process, or call order. Each block is read as four little-endian 64-bit
-words, in order. `stream_bytes` is the one definition of that stream: the
-planted generator reads its bytes directly, and `CounterPrg` unpacks one
-block at a time into words. The augmentor instead draws each sample's words
-with one extendable-output call, `sample_streams`. All simulation randomness
-in the package (planted data, label flips, augmentation noise and masks)
-flows through this module.
+Block b of a key's stream is the first BLOCK_BYTES bytes of
+SHAKE256(key || b as 8-byte little-endian); the stream is its blocks in
+order, read as little-endian 64-bit words, so a (key, word index) pair
+always yields the same draw on every platform and in any call order.
+`stream` is the one definition of that stream and the only place that
+hashes for it. All simulation randomness in the package (planted data,
+augmentation noise and masks, `CounterPrg`) is read from it; the planted
+model's label flips are drawn by `hash_u64`.
 
 A draw u is compared with a probability p exactly, as u / 2**64 < p, through
 the integer `threshold(p)`: for an integer u, u * den < num * 2**64 holds
@@ -20,11 +19,13 @@ from __future__ import annotations
 import hashlib
 import struct
 from fractions import Fraction
+from itertools import chain, count
 
 _U64 = 1 << 64
 _COUNTER = struct.Struct("<Q")
-WORDS_PER_BLOCK = 4
-_BLOCK = struct.Struct(f"<{WORDS_PER_BLOCK}Q")
+BLOCK_BYTES = 4096  # one hash call: ceil(4096 / 136) = 31 Keccak permutations
+_BLOCK_WORDS = BLOCK_BYTES // 8
+_BLOCK = struct.Struct(f"<{_BLOCK_WORDS}Q")
 
 
 def derive_key(master: bytes, label: str) -> bytes:
@@ -37,20 +38,18 @@ def hash_u64(*parts: bytes) -> int:
     return int.from_bytes(hashlib.sha3_256(b"".join(parts)).digest()[:8], "little")
 
 
-def stream_bytes(key: bytes, start: int, blocks: int) -> bytes:
-    """Blocks start .. start + blocks - 1 of key's stream, 32 bytes each, in
-    stream order."""
-    sha3, pack = hashlib.sha3_256, _COUNTER.pack
-    return b"".join([sha3(key + pack(i)).digest() for i in range(start, start + blocks)])
-
-
-def sample_streams(seed: bytes, first: int, count: int, words: int) -> bytes:
-    """The draws of samples first .. first + count - 1, `words` little-endian
-    64-bit words each, in sample order: sample i's are the first 8 * words
-    bytes of SHAKE256(seed || u64le(i)). A shorter read is a prefix of a
-    longer one."""
-    shake, pack, size = hashlib.shake_256, _COUNTER.pack, 8 * words
-    return b"".join([shake(seed + pack(i)).digest(size) for i in range(first, first + count)])
+def stream(key: bytes, first: int, words: int) -> bytes:
+    """Words first .. first + words - 1 of key's stream, 8 * words
+    little-endian bytes in stream order. Only the blocks the run touches are
+    hashed, and the last only as far as the run reads: a SHAKE256 output is
+    a prefix of any longer one."""
+    end = 8 * (first + words)
+    shake, pack = hashlib.shake_256, _COUNTER.pack
+    blocks = range(first // _BLOCK_WORDS, -(-(first + words) // _BLOCK_WORDS))
+    data = b"".join(
+        [shake(key + pack(b)).digest(min(BLOCK_BYTES, end - b * BLOCK_BYTES)) for b in blocks]
+    )
+    return data[8 * first - blocks.start * BLOCK_BYTES :]
 
 
 def threshold(prob: Fraction) -> int:
@@ -60,22 +59,17 @@ def threshold(prob: Fraction) -> int:
 
 
 class CounterPrg:
-    """Stream of uniform draws expanded from a key by a counter."""
+    """The uniform draws of a key's stream, one word at a time."""
 
     def __init__(self, key: bytes):
-        self._key = bytes(key)
-        self._counter = 0
-        self._words: tuple[int, ...] = ()
-        self._pos = 0
+        key = bytes(key)
+        # Each refill is one whole stream block: one hash call, made when the
+        # previous block's words run out.
+        blocks = (stream(key, b * _BLOCK_WORDS, _BLOCK_WORDS) for b in count())
+        self._draws = chain.from_iterable(map(_BLOCK.unpack, blocks))
 
     def u64(self) -> int:
-        pos = self._pos
-        if pos == len(self._words):
-            self._words = _BLOCK.unpack(stream_bytes(self._key, self._counter, 1))
-            self._counter += 1
-            pos = 0
-        self._pos = pos + 1
-        return self._words[pos]
+        return next(self._draws)
 
     def below(self, prob: Fraction) -> bool:
         """Exact Bernoulli(prob): one draw, compared with an integer

@@ -684,21 +684,25 @@ def open_listener(host: str, port: int) -> socket.socket:
 
 
 def accept_channel(listener: socket.socket, timeout: float = DEFAULT_TIMEOUT) -> SocketChannel:
+    """Accept one peer; ProtocolError when none connects within timeout."""
     listener.settimeout(timeout)
-    conn, _ = listener.accept()
+    try:
+        conn, _ = listener.accept()
+    except socket.timeout:
+        raise ProtocolError("timed out waiting for a peer to connect") from None
     return SocketChannel(conn, timeout)
 
 
 def connect_channel(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> SocketChannel:
-    """Connect, retrying a refused or failed attempt for CONNECT_RETRY_S."""
+    """Connect, retrying a refused or failed attempt for CONNECT_RETRY_S, then ChannelClosed."""
     deadline = time.monotonic() + CONNECT_RETRY_S
     while True:
         try:
             sock = socket.create_connection((host, port), timeout=timeout)
             return SocketChannel(sock, timeout)
-        except OSError:
+        except OSError as exc:
             if time.monotonic() >= deadline:
-                raise
+                raise ChannelClosed(f"cannot reach {host}:{port}: {exc.strerror or exc}") from None
             time.sleep(0.05)
 
 

@@ -1,8 +1,10 @@
-"""Shared builders, the loopback TCP link and the restated certification rule
-used across test files."""
+"""Shared builders, the loopback TCP link, and the restated PRG stream and
+certification rule used across test files."""
 
+import hashlib
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import strategies as st
@@ -43,6 +45,24 @@ def fresh_dealer_memos():
     own."""
     dealer._served.cache_clear()
     crypto._verified.cache_clear()
+
+
+@lru_cache(maxsize=64)
+def _restated_block(key, b):
+    return hashlib.shake_256(key + b.to_bytes(8, "little")).digest(4096)
+
+
+def restated_words(key, first, count):
+    """Words first .. first + count - 1 of key's PRG stream, restated from
+    its definition with hashlib alone: word w is little-endian bytes
+    8 * (w mod 512) onward of block w // 512, the first 4096 bytes of
+    SHAKE256(key || u64le(w // 512))."""
+    words = []
+    for w in range(first, first + count):
+        block, offset = divmod(w, 512)
+        word = _restated_block(key, block)[8 * offset : 8 * offset + 8]
+        words.append(int.from_bytes(word, "little"))
+    return words
 
 
 def quarter_config(rates=(Fraction(0), Fraction(0)), seed=b"\x51" * 8):

@@ -1,11 +1,10 @@
-import hashlib
 import math
-import struct
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from conftest import restated_words
 from hypothesis import strategies as st
 
 from faircert import augmentor as augmentor_module
@@ -224,12 +223,12 @@ def test_shape_laws_property(features, index, group, label):
 
 
 def _reference_augment(cfg, features, index):
-    """One sample by the definition: one SHAKE256 call for all its words,
-    exact Fraction comparisons, a table lookup rounded in integers, then
+    """One sample by the definition: its 2 + 2d words from word
+    index * (2 + 2d) on of the seed's stream (restated with hashlib), exact
+    Fraction comparisons, a table lookup rounded in integers, then
     saturation."""
     d = len(features)
-    key = cfg.master_seed + struct.pack("<Q", index)
-    words = struct.unpack(f"<{2 + 2 * d}Q", hashlib.shake_256(key).digest(8 * (2 + 2 * d)))
+    words = restated_words(cfg.master_seed, index * (2 + 2 * d), 2 + 2 * d)
     invoke = cfg.invoke_prob * cfg.degree
     out = list(features)
     if cfg.noise_sigma > 0 and Fraction(words[0], 2**64) < invoke:
@@ -304,6 +303,35 @@ def test_augmentation_calls_no_math_function(monkeypatch):
     expected = [_reference_augment(cfg, row, i) for i, row in enumerate(rows)]
     assert list(augment_dataset(cfg, dataset).features) == expected
     assert sum(out != row for out, row in zip(expected, rows)) > 400
+
+
+@pytest.mark.parametrize("batch_bytes", [8, 100, 600, 4096, 5000])
+def test_batch_size_moves_no_byte(batch_bytes):
+    # 400 samples of 22 words span 17 stream blocks, so these batch sizes put
+    # batch edges on, next to and inside blocks.
+    cfg = config_of(sigma=fx.ONE // 3, mask="1/5", invoke="3/4")
+    rows = [(v, -v, 3 * v, 0, 7, -v // 2, v, v % 5, -9, 2 * v) for v in range(-200, 200)]
+    dataset = Dataset.from_columns(10, 1, 1, rows, [0] * len(rows), [0] * len(rows))
+    expected = augment_dataset(cfg, dataset).records
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(augmentor_module, "_BATCH_BYTES", batch_bytes)
+        assert augment_dataset(cfg, dataset).records == expected
+    assert [augment(cfg, Sample(rows[i], 0, 0), i).features for i in (0, 233, 399)] == [
+        _reference_augment(cfg, rows[i], i) for i in (0, 233, 399)
+    ]
+
+
+def test_masking_moves_no_noise_word():
+    # A sample's mask words are reserved whether or not masking is on, so the
+    # masked output is the unmasked one with some coordinates zeroed.
+    rows = [(v + 1, 5 - v, 7 * v + 3) for v in range(0, 3000, 7)]
+    dataset = Dataset.from_columns(3, 1, 1, rows, [0] * len(rows), [0] * len(rows))
+    noised = augment_dataset(config_of(sigma=2 * fx.ONE, invoke="1/2"), dataset).features
+    masked = augment_dataset(config_of(sigma=2 * fx.ONE, mask="1/4", invoke="1/2"), dataset)
+    pairs = [(a, b) for row_a, row_b in zip(noised, masked.features) for a, b in zip(row_a, row_b)]
+    assert all(b in (a, 0) for a, b in pairs)
+    assert sum(a != b for a, b in pairs) > 50  # masking did happen
+    assert sum(a == b != row for (a, b), row in zip(pairs, (v for r in rows for v in r))) > 200
 
 
 # --- the pinned quantile table ----------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from conftest import NO_CIRCUIT, naming_circuit, rewriting_dealer_input
 
-from faircert import cli
+from faircert import cli, protocol
 from faircert.cli import main
 from faircert.crypto import Certificate, verify_certificate
 from faircert.model import PlantedConfig, decode_dataset, deserialize_model
@@ -497,6 +497,28 @@ def test_certify_server_facing_a_deviating_regulator_exits_4(
     assert not thread.is_alive()
     assert code == 4
     assert capsys.readouterr().err.splitlines() == [line]
+
+
+def test_certify_server_facing_a_closed_port_exits_4(tmp_path, config_path, capsys, monkeypatch):
+    model = tmp_path / "model.bin"
+    assert main(["gen-model", "--config", config_path, "--out", str(model)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(protocol, "CONNECT_RETRY_S", 0.2)
+    closed = free_endpoint()  # bound once, then released: nothing listens there
+    code = main(["certify", "--role", "server", "--model", str(model),
+                 "--connect", closed, "--dealer", closed])
+    assert code == 4
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"aborted: ChannelClosed: cannot reach {closed}: ")
+
+
+def test_certify_dealer_no_party_connects_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "accept_channel", lambda listener: accept_channel(listener, 0.2))
+    code = main(["certify", "--role", "dealer", "--listen", "127.0.0.1:0"])
+    assert code == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "aborted: ProtocolError: timed out waiting for a peer to connect"
+    ]
 
 
 BOUND = ["--efg", "0", "--delta", "0.05", "--groups", "2"]

@@ -91,7 +91,7 @@ def labels_digest(model, dataset) -> str:
 def test_private_bundle_bytes():
     regulator, _, _, _ = certification_setup(group_counts=(200, 200))
     bundle = encode_test_bundle(regulator.spec, regulator.dataset, regulator.aug)
-    assert sha3(bundle) == "25b5b69b098850ff0618365457809470fa9d700822ae60938a17bd0840578e5b"
+    assert sha3(bundle) == "f231b787d5474ed20de2fb6a49c0c6ed62d83ca8c04fc307bfe77d14ff7c38a8"
 
 
 def test_augmented_bundle_bytes():
@@ -99,7 +99,7 @@ def test_augmented_bundle_bytes():
         group_counts=(200, 200), spec=AUG_SPEC, aug=AUG
     )
     bundle = encode_test_bundle(regulator.spec, regulator.dataset, regulator.aug)
-    assert sha3(bundle) == "175ed8758eb80f9743fc75ccef785a2c49adceff4a6dfa12ef98fd7b03f7a118"
+    assert sha3(bundle) == "20160805553a6410ba1cc0ef62ec81955f1898900d1e0f44e45ad61ba1b98866"
 
 
 def _certify(**kwargs):
@@ -112,17 +112,17 @@ def _certify(**kwargs):
 def test_private_certificate_and_transcript():
     cert, transcript = _certify()
     assert sha3(cert) == "aeb3f82d51d826db86764503c38ca920063c2fbea00d584e5ea3456d771c067b"
-    assert sha3(transcript.encode()) == "9805fb3b461b538bf69b4c053bec8af5b1b8ee20dc49d8e47ff7a4c1d4749906"
+    assert sha3(transcript.encode()) == "dc451f1f381266794f2be3d99f6247be9db53b3162470021ccb9ef965e8451a7"
 
 
 def test_augmented_certificate_and_transcript():
     cert, transcript = _certify(spec=AUG_SPEC, aug=AUG)
     assert sha3(cert) == "070adbcfa7b7e5cab61a3a151462137b70f884141f03587f672d7382c9217a9d"
-    assert sha3(transcript.encode()) == "a16361f6f360ce8d0bc2913abb33b763b714e427fc17a706e12c3a26cebc2689"
+    assert sha3(transcript.encode()) == "732d03fb33de79ddb312b484c12323436f13a0839bc1fd67f1aa65c453e6e337"
 
 
 def test_linear_predictions():
-    assert labels_digest(WIDE, planted_set()) == "f9e9777e9f34137e95f78783a282330d4eb99453a6a8f952daf3fe50028d716b"
+    assert labels_digest(WIDE, planted_set()) == "d9be7b3d2554fa027184e89dd777e5d911299396287e35e2cd9dd2cd917883f9"
 
 
 def test_lookup_predictions():
@@ -139,7 +139,7 @@ def test_lookup_predictions():
         ),
     )
     lookup = LookupModel(dimension=6, num_labels=3, table=(2, 0, 1, 1, 0, 2, 1))
-    assert labels_digest(lookup, spread) == "6df2a59c3231c874721064262cfb57d3db4cf1efa1b3ee5b812b50892b4356d8"
+    assert labels_digest(lookup, spread) == "9c93794459a1104d31a4176157b58129875e8044878713ed3ed08da6a19172c7"
 
 
 def test_biased_predictions():
@@ -148,7 +148,7 @@ def test_biased_predictions():
         flip_rates=(Fraction(1, 4), Fraction(3, 5)),
         seed=b"\x2a" * 8,
     )
-    assert labels_digest(biased, planted_set()) == "e95eda3aa07fb30281e430c78cbb5eaecb67eb90a237d3c6ae5c762bbe9aa012"
+    assert labels_digest(biased, planted_set()) == "3ee75d4861e8dfaab929c64d1d94a2842aabb1fc2d63b538ae708dd9795d7a0e"
 
 
 # Certified inference: the dealer's transcript and leakage log, every
@@ -201,20 +201,20 @@ def test_coverage_csv():
     results = run_coverage(config, spec, 6, group_counts=(150, 150))
     out = io.StringIO()
     write_coverage_csv(out, results)
-    assert sha3(out.getvalue().encode()) == "bff89a5d93893de747346acf62f87c7852db9e6e1c82ab8bbfe008800f77fd6f"
+    assert sha3(out.getvalue().encode()) == "4f4009993d1cacb4e08b8c01866744f78d20381ad4daf9805af12d451ddfbcfb"
 
 
 # Augmented dataset bytes. Each case is (dimension, sigma, mask, invoke,
 # degree): odd and even dimensions, a sigma at which every noise step past one
 # standard deviation saturates, masking off and certain, invocation never and always.
 AUGMENT_CASES = {
-    (3, fx.ONE // 100, "1/10", "1/2", "1"): "99d49391081a51e718f286ac09c4228184d564793e29fd427fc6ec6886723eb2",
-    (4, fx.INT32_MAX, "0", "1", "1"): "787569bba61f884c44577d924151b53752e3f328d74d3e49845f099961dbc567",
-    (5, fx.INT32_MAX // 3, "1", "1", "1"): "70a788476cd8e3e7614e24975082495160f8e697becee8fec948c18c1bd1ccdd",
-    (2, fx.ONE, "3/10", "0", "1"): "ca5247e6ff8585d38b4a3869a75a0bfb5512943658fe1a9c12260c1c2544490e",
-    (1, 3 * fx.ONE, "1/2", "1", "1/2"): "bdd0b0850d66572a4340938c7e9cfecacb30069e2bc16fbbfa72954d0dddefc4",
-    (6, 2 * fx.ONE, "1", "3/4", "1"): "1cb273f99b15bbe8b649b5c5387bf99eebf545647f895950fc15a7e29e5264fa",
-    (7, 0, "1/4", "1", "1"): "ec7ae5822c7af54390c00ee0fcfd8458e8882ef8f4c4561fb112997bb6f2dbbc",
+    (3, fx.ONE // 100, "1/10", "1/2", "1"): "aa2ea1e0a95ef454088fc62eb13160a5f728a1651011c787049d18119f9b2810",
+    (4, fx.INT32_MAX, "0", "1", "1"): "8f11cd1079e44414e936311472e8513b3f11e1005f8c05ec314a0f9a33f85644",
+    (5, fx.INT32_MAX // 3, "1", "1", "1"): "877d7da9d2079c249bd1c5ab0bfe7d5ab7b5a666d95fb7f1969d5fc8ba9c83d6",
+    (2, fx.ONE, "3/10", "0", "1"): "fcd96603d70b5c40ab37ddcd94f89ffac5cfcd0e0b6f530434f51827a69ade00",
+    (1, 3 * fx.ONE, "1/2", "1", "1/2"): "d880daabcacd8df38c4db392e9426724a5fc6b3a454849cede16e12d89597aca",
+    (6, 2 * fx.ONE, "1", "3/4", "1"): "588012b1b0959cfc0b5a7239dc4757c1e996dac61a97efa0e5443baa631b9f7f",
+    (7, 0, "1/4", "1", "1"): "9143c2b44e4f29ad6b35dc6750191961a0dc5d595ed7a7a076fafe1aaea64ab4",
 }
 
 
@@ -249,10 +249,10 @@ def test_augmented_dataset_bytes():
 # noise coordinates and with 774, the noise width of the benchmark's
 # 784-feature inference model. A zero-weight cell sits between two others.
 PLANTED_CASES = {
-    ("m", 0): "07fa806f5fe98e8284bb3bab5f373313a21c9ae4f6ce234d92ed9569242e3e93",
-    ("m", 774): "ae2d81f6dac9c66b67ea5436bfa3fab09264d8b4f2725d72550928251b575aa9",
-    ("counts", 0): "d85b2b22404f98da7d364c67ddd1982905e034b81f05244949c80d2c3bc0c866",
-    ("counts", 774): "6d7af9570913390e5e391abd0df0571b55b8dd8e680d109f9ee9b445e812f9a3",
+    ("m", 0): "ba191800be45fc9e9dbf7801a4a1258b5c4d7433c423cdc820bb3655fa91b1ca",
+    ("m", 774): "7a80b28dec2a1c5c11cff1d0969893d9b19e827ac1ee3a27fd1348f553ed14a0",
+    ("counts", 0): "5b52dbca60c8271716b01eb98579f9955a106559b0360bdf438e28c33dc45535",
+    ("counts", 774): "fabf78a88e0d74ba868f2e4016de96d0867264c9fff4b475caaa44e877eeb13f",
 }
 
 
@@ -281,7 +281,7 @@ def test_planted_dataset_bytes():
 def test_counter_prg_draws():
     prg = CounterPrg(b"\x5a" * 8)
     words = [prg.u64() for _ in range(1000)]
-    assert sha3(struct.pack("<1000Q", *words)) == "f2f19ec2034ab8f8011dcb4a4d1afeee2d6820624cad92be62fc53f14925bba1"
+    assert sha3(struct.pack("<1000Q", *words)) == "a317df17664f7c02638eab033d7ef1e4ef91e52919374f15db7c7f7fee358bb4"
     cumulative = [(Fraction(1, 5), 0), (Fraction(1, 5), 1), (Fraction(2, 3), 2), (Fraction(1), 3)]
     mixed = []
     for i in range(300):
@@ -292,7 +292,7 @@ def test_counter_prg_draws():
             mixed.append(prg.choose_weighted(cumulative))
         else:
             mixed.append(int(prg.below(Fraction(0))))
-    assert sha3(repr(mixed).encode()) == "3d332329e7c365bda1827f5136c3f5b04b97be22c0b65a0e6295557a4ee1e21b"
+    assert sha3(repr(mixed).encode()) == "b9daea59c0fcee92f4838bae1c655b9de3ec247cb6c05a4e23509fdf18971c6b"
 
 
 # CLI experiment CSVs, with nondefault augmentor flags so every flag the
@@ -329,11 +329,11 @@ def test_attack_knn_csv(tmp_path):
             "--seed", "13",
         ],
     )
-    assert sha3(data) == "43e25ad507442fbed7d96351d57b75b6446027ec1716cdb20a0a26b99fd7c457"
+    assert sha3(data) == "4e3ada639f520e2394038a68beade2c5581e13a5978904e8c9cf44e2459df9ed"
 
 
 def test_augment_sweep_csv(tmp_path):
     data = _cli_csv(
         tmp_path, ["augment-sweep", "--m", "200", "--degrees", "0,0.5,1", "--seed", "3"]
     )
-    assert sha3(data) == "85cd24fdd5f16179a5787a8d3b4b0c45069252b6561246701d6abc734440912d"
+    assert sha3(data) == "970e3ed410ede7f26aaf5198c46c4ff9880dad33d468f50f65a663d471d6924d"

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import struct
+from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate, chain
 
@@ -503,7 +504,7 @@ def test_generate_refuses_a_negative_size_before_hashing(monkeypatch):
     def no_stream(*args):
         raise AssertionError("the stream was hashed")
 
-    monkeypatch.setattr(model_module, "stream_bytes", no_stream)
+    monkeypatch.setattr(model_module, "stream", no_stream)
     with pytest.raises(ValueError, match="m must be nonnegative"):
         generate_planted(quarter_config(), -1)
     with pytest.raises(ValueError, match="group counts must be nonnegative"):
@@ -571,6 +572,18 @@ def test_generate_planted_matches_a_per_sample_loop(case, batch_bytes):
     expected = reference_planted(config, m, group_counts)
     assert (dataset.groups, dataset.labels) == (expected.groups, expected.labels)
     assert dataset.records == expected.records
+
+
+@pytest.mark.parametrize("batch_bytes", [16, 100, 3000, 4096])
+def test_planted_batch_edges_inside_stream_blocks(batch_bytes):
+    # 700 samples of 4 words span 5.5 stream blocks of 512 words; these batch
+    # sizes put batch edges on, next to and inside blocks.
+    config = replace(quarter_config(seed=b"\x3c" * 8), noise_dims=3)
+    expected = reference_planted(config, 700, None)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_module, "_BATCH_BYTES", batch_bytes)
+        dataset = generate_planted(config, 700)[0]
+    assert (dataset.groups, dataset.records) == (expected.groups, expected.records)
 
 
 def test_planted_cell_frequencies_chi_squared():

@@ -1,26 +1,27 @@
 import hashlib
 from fractions import Fraction
 
+from conftest import restated_words
 from hypothesis import given
 from hypothesis import strategies as st
 
+from faircert import prg as prg_module
 from faircert.prg import (
     CounterPrg,
     derive_key,
     hash_u64,
-    sample_streams,
-    stream_bytes,
+    stream,
     threshold,
 )
 
 
-def test_sample_streams_are_one_shake_call_per_sample():
-    seed = b"\x03" * 8
-    expected = b"".join(
-        hashlib.shake_256(seed + i.to_bytes(8, "little")).digest(40) for i in range(7, 12)
-    )
-    assert sample_streams(seed, 7, 5, 5) == expected
-    assert sample_streams(seed, 9, 1, 2) == expected[80:96]  # a prefix of sample 9's words
+def test_stream_blocks_are_keyed_shake_squeezes():
+    key = b"\x03" * 8
+    blocks = [hashlib.shake_256(key + i.to_bytes(8, "little")).digest(4096) for i in range(4)]
+    assert stream(key, 0, 512) == blocks[0]
+    assert stream(key, 510, 5) == blocks[0][-16:] + blocks[1][:24]  # across a block edge
+    assert stream(key, 1023, 514) == blocks[1][-8:] + blocks[2] + blocks[3][:8]
+    assert stream(key, 700, 0) == b""
 
 
 def test_derive_key_matches_hash():
@@ -33,12 +34,26 @@ def test_derive_key_separates_labels():
     assert derive_key(master, "a") != derive_key(master, "b")
 
 
-def test_stream_is_keyed_sha3_counter():
+def test_counter_prg_refills_one_stream_block_per_hash_call(monkeypatch):
     key = b"\x02" * 8
+    calls = []
+
+    class CountingHashlib:
+        def shake_256(self, data):
+            calls.append(data)
+            return hashlib.shake_256(data)
+
+        def __getattr__(self, name):
+            return getattr(hashlib, name)
+
+    monkeypatch.setattr(prg_module, "hashlib", CountingHashlib())
     prg = CounterPrg(key)
-    block0 = hashlib.sha3_256(key + (0).to_bytes(8, "little")).digest()
+    block0 = hashlib.shake_256(key + (0).to_bytes(8, "little")).digest(4096)
     assert prg.u64() == int.from_bytes(block0[:8], "little")
     assert prg.u64() == int.from_bytes(block0[8:16], "little")
+    draws = [prg.u64() for _ in range(1100)]
+    assert calls == [key + i.to_bytes(8, "little") for i in range(3)]
+    assert draws == restated_words(key, 2, 1100)
 
 
 def test_determinism():
@@ -132,20 +147,22 @@ def near(t):
     return sorted({u for u in (t - 2, t - 1, t, t + 1) if 0 <= u < U64})
 
 
-@given(
-    st.binary(min_size=1, max_size=24),
-    st.integers(min_value=0, max_value=6),
-    st.integers(min_value=1, max_value=6),
+# Runs that start and end on, next to and between block edges (512 words).
+word_index = st.one_of(
+    st.integers(min_value=0, max_value=2100),
+    st.sampled_from([511, 512, 513, 1023, 1024, 1536]),
 )
-def test_stream_bytes_equal_repeated_u64(key, start, blocks):
+
+
+@given(st.binary(min_size=1, max_size=24), word_index, word_index)
+def test_stream_equals_the_hashlib_restatement(key, first, words):
+    expected = b"".join(w.to_bytes(8, "little") for w in restated_words(key, first, words))
+    assert stream(key, first, words) == expected
+    # CounterPrg reads the same words, one block at a time.
     prg = CounterPrg(key)
-    for _ in range(4 * start):
+    for _ in range(first):
         prg.u64()
-    words = [prg.u64() for _ in range(4 * blocks)]
-    assert stream_bytes(key, start, blocks) == b"".join(w.to_bytes(8, "little") for w in words)
-    counters = range(start, start + blocks)
-    blocks_hashed = [hashlib.sha3_256(key + i.to_bytes(8, "little")).digest() for i in counters]
-    assert stream_bytes(key, start, blocks) == b"".join(blocks_hashed)
+    assert b"".join(prg.u64().to_bytes(8, "little") for _ in range(words)) == expected
 
 
 @given(probabilities, st.integers(min_value=0, max_value=U64 - 1))
