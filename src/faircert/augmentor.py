@@ -74,7 +74,7 @@ class AugmentorConfig:
         return self.noise_sigma == 0 and self.mask_prob == 0
 
     def encode_public(self) -> bytes:
-        """Everything except the seed; what is committed to before reveal."""
+        """Everything except the seed: what the server learns in the request."""
         return struct.pack(
             "<IIII",
             self.noise_sigma,

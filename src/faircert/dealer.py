@@ -49,7 +49,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 
-from .augmentor import AugmentorConfig, augment_dataset
+from .augmentor import CONFIG_BYTES, SEED_BYTES, AugmentorConfig, augment_dataset
 from .crypto import merkle_root, encode_fairness_spec, decode_fairness_spec
 from .fairness import EmptyCellError, FairnessSpec, GroupRiskTable, build_risk_table, decide
 from .fairness import min_samples  # noqa: F401  (bench/ traces it here)
@@ -123,11 +123,12 @@ def decode_test_bundle(
     offset += 1
     aug = None
     if mode == MODE_AUGMENTED_BYTE:
+        end = offset + SEED_BYTES + CONFIG_BYTES
         try:
-            aug = AugmentorConfig.decode(bytes(data[offset : offset + 24]))
+            aug = AugmentorConfig.decode(bytes(data[offset:end]))
         except ValueError as exc:
             raise MalformedDatasetError(f"bundle augmentor config: {exc}") from exc
-        offset += 24
+        offset = end
     elif mode != MODE_PRIVATE_BYTE:
         raise MalformedDatasetError(f"unknown bundle mode {mode}")
     if (aug is not None) != spec.augmented:

@@ -17,10 +17,12 @@ and only the total sample count, both parties feed the certification
 circuit, and the regulator turns a favourable fair-bit into a signed
 certificate over the model digest the circuit reported; the server keeps it
 only if it parses and names the server's own model root and the requested
-spec. In augmented mode the regulator first commits to the augmentor
-parameters (seed withheld) in the request, the server commits to its dealer
-input by echoing that frame's digest, and only then is the 8-byte master
-seed revealed.
+spec. Augmented mode runs the same exchange: the request carries the
+public augmentor parameters, and the 8-byte master seed travels only in the
+regulator's bundle to the dealer. After the request the regulator sends the
+server nothing until the dealer has answered, and the dealer answers only
+once it holds the server's input, so the model is fixed before anything that
+depends on the seed leaves the regulator.
 
 Inference: the server presents its certificate before the compute; the
 client then checks the signature against the digest of the model that was
@@ -29,7 +31,6 @@ actually evaluated and against the exact parameters the client demanded.
 
 from __future__ import annotations
 
-import hashlib
 import queue
 import socket
 import struct
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .augmentor import AugmentorConfig, CONFIG_BYTES, SEED_BYTES
+from .augmentor import AugmentorConfig, CONFIG_BYTES
 from .crypto import (
     Certificate,
     KeyPair,
@@ -56,6 +57,8 @@ from .dealer import (
     CIRCUIT_CERT,
     CIRCUIT_INFER,
     FscSession,
+    MODE_AUGMENTED_BYTE,
+    MODE_PRIVATE_BYTE,
     PARTY_CHECKER,
     PARTY_SERVER,
     encode_query,
@@ -68,18 +71,20 @@ PROTOCOL_VERSION = 1
 MAX_FRAME_BYTES = 1 << 24
 
 FRAME_HELLO = 0x01
-FRAME_CERT_ID = 0x02
 FRAME_CERT_REQUEST = 0x03
 FRAME_COMPUTE_INPUT = 0x04
 FRAME_COMPUTE_RESULT = 0x05
 FRAME_CERTIFICATE = 0x06
-FRAME_SEED_REVEAL = 0x07
 FRAME_INFER_REQUEST = 0x08
 FRAME_INFER_RESULT = 0x09
 FRAME_REJECT = 0x0A
 FRAME_ABORT = 0x0B
 
-_KNOWN_FRAMES = frozenset(range(FRAME_HELLO, FRAME_ABORT + 1))
+# 0x02 and 0x07 are retired: no role sends them, so they decode as unknown.
+_KNOWN_FRAMES = frozenset({
+    FRAME_HELLO, FRAME_CERT_REQUEST, FRAME_COMPUTE_INPUT, FRAME_COMPUTE_RESULT,
+    FRAME_CERTIFICATE, FRAME_INFER_REQUEST, FRAME_INFER_RESULT, FRAME_REJECT, FRAME_ABORT,
+})
 
 ROLE_REGULATOR = 1
 ROLE_SERVER = 2
@@ -278,10 +283,10 @@ def encode_cert_request(
 ) -> bytes:
     out = encode_fairness_spec(spec) + struct.pack("<I", total_samples)
     if aug_public is None:
-        return out + b"\x00"
+        return out + bytes([MODE_PRIVATE_BYTE])
     if len(aug_public) != CONFIG_BYTES:
-        raise ValueError("augmentor config block must be 16 bytes")
-    return out + b"\x01" + aug_public
+        raise ValueError(f"augmentor config block must be {CONFIG_BYTES} bytes")
+    return out + bytes([MODE_AUGMENTED_BYTE]) + aug_public
 
 
 def decode_cert_request(payload: bytes) -> tuple[FairnessSpec, int, bytes | None]:
@@ -296,20 +301,18 @@ def decode_cert_request(payload: bytes) -> tuple[FairnessSpec, int, bytes | None
     offset += 4
     if offset >= len(payload):
         raise ProtocolError("certification request missing its mode byte")
-    mode = payload[offset]
-    offset += 1
-    if mode in (0, 1) and mode != spec.augmented:
+    mode, block = payload[offset], payload[offset + 1 :]
+    if mode not in (MODE_PRIVATE_BYTE, MODE_AUGMENTED_BYTE):
+        raise ProtocolError(f"unknown certification mode {mode}")
+    if (mode == MODE_AUGMENTED_BYTE) != spec.augmented:
         raise ProtocolError("certification request mode byte disagrees with its spec")
-    if mode == 0:
-        if offset != len(payload):
+    if mode == MODE_PRIVATE_BYTE:
+        if block:
             raise ProtocolError("trailing bytes after a private-mode request")
         return spec, total, None
-    if mode == 1:
-        block = payload[offset:]
-        if len(block) != CONFIG_BYTES:
-            raise ProtocolError("augmented request needs a 16-byte config block")
-        return spec, total, block
-    raise ProtocolError(f"unknown certification mode {mode}")
+    if len(block) != CONFIG_BYTES:
+        raise ProtocolError(f"augmented request needs a {CONFIG_BYTES}-byte config block")
+    return spec, total, block
 
 
 @dataclass(frozen=True)
@@ -356,7 +359,10 @@ class Regulator:
         self.dataset = canonical_order(dataset)
         self.spec = spec
         self.aug = aug
-        self.last_commitment: bytes | None = None
+        # What the server learns: the spec, the total and, in augmented
+        # mode, the public augmentor parameters; never the seed.
+        aug_public = aug.encode_public() if aug is not None else None
+        self._request = encode_cert_request(spec, len(self.dataset.groups), aug_public)
         self._bundle: bytes | None = None
         self._required: tuple[int, tuple[int, ...]] | None = None
 
@@ -391,21 +397,7 @@ class Regulator:
             return CertFailure(REASON_PRECHECK_FAILED)
         chan_s = server_factory()
         _hello(chan_s, ROLE_REGULATOR, ROLE_SERVER)
-        aug_public = self.aug.encode_public() if self.aug is not None else None
-        chan_s.send_frame(
-            Frame(
-                FRAME_CERT_REQUEST,
-                encode_cert_request(self.spec, len(self.dataset.groups), aug_public),
-            )
-        )
-        if self.aug is not None:
-            commitment = _expect(
-                chan_s.recv_frame(), FRAME_COMPUTE_INPUT, "the server's input commitment", 33
-            )
-            if commitment[0] != CIRCUIT_CERT:
-                raise ProtocolError("commitment names the wrong circuit")
-            self.last_commitment = commitment[1:]
-            chan_s.send_frame(Frame(FRAME_SEED_REVEAL, self.aug.master_seed))
+        chan_s.send_frame(Frame(FRAME_CERT_REQUEST, self._request))
         chan_f = dealer_factory()
         _hello(chan_f, ROLE_REGULATOR, ROLE_DEALER)
         chan_f.send_frame(Frame(FRAME_COMPUTE_INPUT, bytes([CIRCUIT_CERT]) + self.bundle()))
@@ -437,18 +429,10 @@ class Server:
         request = _expect(
             regulator_channel.recv_frame(), FRAME_CERT_REQUEST, "a certification request"
         )
-        spec, _total, aug_public = decode_cert_request(request)
+        spec, _total, _aug_public = decode_cert_request(request)
         chan_f = dealer_factory()
         _hello(chan_f, ROLE_SERVER, ROLE_DEALER)
-        input_frame = Frame(FRAME_COMPUTE_INPUT, bytes([CIRCUIT_CERT]) + self.model_bytes)
-        chan_f.send_frame(input_frame)
-        if aug_public is not None:
-            commitment = hashlib.sha3_256(input_frame.encode()).digest()
-            regulator_channel.send_frame(
-                Frame(FRAME_COMPUTE_INPUT, bytes([CIRCUIT_CERT]) + commitment)
-            )
-            reveal = regulator_channel.recv_frame()
-            _expect(reveal, FRAME_SEED_REVEAL, "the augmentor seed reveal", SEED_BYTES)
+        chan_f.send_frame(Frame(FRAME_COMPUTE_INPUT, bytes([CIRCUIT_CERT]) + self.model_bytes))
         outcome = regulator_channel.recv_frame()
         if outcome.type == FRAME_CERTIFICATE:
             return self._accept_certificate(outcome.payload, spec)

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import strategies as st
 
 from faircert import crypto, dealer
+from faircert import fixedpoint as fx
+from faircert.augmentor import AugmentorConfig
 from faircert.crypto import keygen
 from faircert.fairness import (
     REASON_GAP_TOO_LARGE,
@@ -20,12 +22,13 @@ from faircert.fairness import (
 )
 from faircert.model import PlantedConfig, generate_planted
 from faircert.protocol import (
+    FRAME_CERT_REQUEST,
     FRAME_COMPUTE_INPUT,
-    FRAME_SEED_REVEAL,
     Frame,
     Regulator,
     Server,
     accept_channel,
+    channel_pair,
     connect_channel,
     open_listener,
 )
@@ -36,6 +39,11 @@ CHEAP_SPEC = FairnessSpec(
     metric=FairnessMetric.ORE, epsilon=Fraction(1, 2), delta=Fraction(1, 5)
 )
 CHEAP_REQUIRED = 30  # per-group bound for CHEAP_SPEC at gap 0
+
+AUG = AugmentorConfig(master_seed=b"\x77" * 8, noise_sigma=fx.ONE // 100, invoke_prob=Fraction(1))
+AUG_SPEC = FairnessSpec(
+    metric=FairnessMetric.ORE, epsilon=Fraction(1, 2), delta=Fraction(1, 5), alpha=Fraction(1, 2)
+)
 
 
 @pytest.fixture(autouse=True)
@@ -98,6 +106,9 @@ def tcp_link(timeout):
         return near, accept_channel(listener, timeout)
     finally:
         listener.close()
+
+
+LINKS = (channel_pair, tcp_link)
 
 
 _MICRO = st.integers(1, 10**6 - 1).map(lambda units: Fraction(units, 10**6))
@@ -221,8 +232,8 @@ def naming_circuit(monkeypatch, role_class, method, circuit_id):
 
 
 # Compute inputs that name no circuit: an empty one, and the same payload
-# in a frame of another type.
+# in a frame of a type the dealer never expects.
 NO_CIRCUIT = {
     "empty": lambda frame: Frame(FRAME_COMPUTE_INPUT, b""),
-    "other-type": lambda frame: Frame(FRAME_SEED_REVEAL, frame.payload),
+    "other-type": lambda frame: Frame(FRAME_CERT_REQUEST, frame.payload),
 }

@@ -364,9 +364,20 @@ def run_roles(*argvs):
 
 
 def test_certify_and_infer_over_tcp(tmp_path, config_path, capsys):
-    data, model, local_cert, vk = certified_setup(tmp_path, config_path, capsys)
+    # Private mode, then augmented mode, where alpha 0.25 at delta 0.2 needs
+    # 119 a group: either way the three roles issue the local certificate.
+    cases = (("private", (), "30,30"), ("augmented", ("--alpha", "0.25"), "120,120"))
+    for mode, flags, counts in cases:
+        (tmp_path / mode).mkdir()
+        certify_and_infer_over_tcp(tmp_path / mode, config_path, capsys, flags, counts)
+
+
+def certify_and_infer_over_tcp(tmp_path, config_path, capsys, flags, group_counts):
+    data, model, local_cert, vk = certified_setup(
+        tmp_path, config_path, capsys, *flags, group_counts=group_counts
+    )
     capsys.readouterr()
-    spec = ["--eps", "0.5", "--delta", "0.2", "--seed", "5"]
+    spec = ["--eps", "0.5", "--delta", "0.2", "--seed", "5", *flags]
     issued, received = tmp_path / "issued.bin", tmp_path / "received.bin"
     dealer, host = free_endpoint(), free_endpoint()
     assert run_roles(

@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
+    AUG,
+    AUG_SPEC,
     CHEAP_REQUIRED,
     CHEAP_SPEC,
     KEY_SEED,
+    LINKS,
     NO_CIRCUIT,
     FrameRewriter,
     certification_setup,
@@ -79,19 +82,15 @@ from faircert.protocol import (
     serve_dealer,
 )
 
-import hashlib
-
-LINKS = (channel_pair, tcp_link)
-AUG = AugmentorConfig(master_seed=b"\x77" * 8, noise_sigma=fx.ONE // 100, invoke_prob=Fraction(1))
-AUG_SPEC = FairnessSpec(
-    metric=FairnessMetric.ORE, epsilon=Fraction(1, 2), delta=Fraction(1, 5), alpha=Fraction(1, 2)
+FRAMES_IN_USE = tuple(
+    getattr(protocol, name) for name in dir(protocol) if name.startswith("FRAME_")
 )
 
 
 # --- framing -----------------------------------------------------------------
 
 
-@given(st.sampled_from(range(0x01, 0x0C)), st.binary(max_size=200))
+@given(st.sampled_from(FRAMES_IN_USE), st.binary(max_size=200))
 def test_frame_round_trip(ftype, payload):
     frame = Frame(ftype, payload)
     assert decode_frame(frame.encode()) == frame
@@ -100,14 +99,15 @@ def test_frame_round_trip(ftype, payload):
 def test_frame_rejects_malformed():
     with pytest.raises(ProtocolError):
         decode_frame(b"\x00\x00")
-    with pytest.raises(ProtocolError):
-        decode_frame(Frame(0x7F, b"").encode())  # unknown type
+    for unknown in (0x02, 0x07, 0x7F):  # 0x02 and 0x07 are retired types
+        with pytest.raises(ProtocolError):
+            decode_frame(Frame(unknown, b"").encode())
     good = Frame(FRAME_HELLO, b"abc").encode()
     with pytest.raises(ProtocolError):
         decode_frame(good + b"\x00")  # length field now wrong
 
 
-@given(st.sampled_from(range(0x01, 0x0C)), st.binary(max_size=60), st.data())
+@given(st.sampled_from(FRAMES_IN_USE), st.binary(max_size=60), st.data())
 def test_frame_decode_raises_only_protocol_error(ftype, payload, data):
     # the payload alone doubles as random bytes
     blob = Frame(ftype, payload).encode()
@@ -512,31 +512,23 @@ def test_bundle_encoded_once_and_each_model_parsed_once(monkeypatch):
     assert parses == [(server.model_bytes,), (other.model_bytes,)]
 
 
-def test_augmented_commit_reveal():
-    regulator, server, _, model = certification_setup(spec=AUG_SPEC, aug=AUG)
+@pytest.mark.parametrize(
+    ("spec", "aug"), ((CHEAP_SPEC, None), (AUG_SPEC, AUG)), ids=("private", "augmented")
+)
+def test_server_sends_the_regulator_only_its_hello(spec, aug):
+    # In either mode the server's model goes to the dealer in one input
+    # frame, and the regulator hears nothing from the server but its hello.
+    regulator, server, _, model = certification_setup(spec=spec, aug=aug)
     run = run_certification_local(regulator, server)
     cert = run.regulator_result
     assert isinstance(cert, Certificate)
-    assert cert.spec.alpha == Fraction(1, 2)
-
-    # the commitment the regulator stored is the hash of the exact frame the
-    # server fed the dealer (its first frame after the hello)
-    dealer_frames = run.recorders["server_to_dealer"].sent
-    input_frame_bytes = dealer_frames[1]
-    assert regulator.last_commitment == hashlib.sha3_256(input_frame_bytes).digest()
+    assert cert.spec == spec
+    (hello,) = run.recorders["server_to_reg"].sent
+    assert decode_frame(hello).type == FRAME_HELLO
     expected = Frame(
         FRAME_COMPUTE_INPUT, bytes([CIRCUIT_CERT]) + serialize_model(model)
     ).encode()
-    assert input_frame_bytes == expected
-
-
-def test_private_mode_sends_no_commitment():
-    regulator, server, _, _ = certification_setup()
-    run = run_certification_local(regulator, server)
-    assert regulator.last_commitment is None
-    # server -> regulator traffic is exactly one hello frame
-    assert len(run.recorders["server_to_reg"].sent) == 1
-    assert decode_frame(run.recorders["server_to_reg"].sent[0]).type == FRAME_HELLO
+    assert run.recorders["server_to_dealer"].sent[1] == expected
 
 
 def test_model_bytes_never_reach_the_regulator():
