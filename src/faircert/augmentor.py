@@ -106,7 +106,7 @@ class AugmentorConfig:
         return cls.decode_public(data[SEED_BYTES:], data[:SEED_BYTES])
 
 
-@lru_cache(maxsize=4)  # augment() asks for it once per sample
+@lru_cache(maxsize=4)  # every augment() and augment_dataset() call asks for it
 def _noise_steps(sigma: int) -> tuple[int, ...]:
     """The noise a draw word u adds at scale sigma, indexed by u >> 52, then
     4096 zeros: (QUANTILES[k] * sigma + 2**15) >> 16, the Q16.16 product
@@ -130,9 +130,9 @@ def _augment_records(
     _noise_steps(sigma)[u >> 52], saturated to int32; a coordinate masked
     with word u becomes 0 when u is below the mask threshold; noise comes
     first. The records are read as an int32 array and changed a column at
-    a time, in batches whose words and records stay under _BATCH_BYTES. A
-    config that can change nothing (invocation probability 0, or neither
-    noise nor masking) draws no word and returns the block itself.
+    a time, in batches whose words (one prg.batches) and records stay under
+    _BATCH_BYTES. A config that can change nothing (invocation probability
+    0, or neither noise nor masking) draws no word and returns the block.
     """
     invoke = threshold(config.effective_invoke_prob)
     if not invoke or config.is_identity():
@@ -142,10 +142,10 @@ def _augment_records(
     per, stride = 2 + 2 * d, 1 + d  # words a sample, ints a record
     count = len(records) // (4 * stride)
     batch = max(1, _BATCH_BYTES // (8 * per))
-    chunks = []
+    chunks, runs = [], prg.batches(seed, first * per, count * per, batch * per)
     for lo in range(0, count, batch):
         n = min(batch, count - lo)
-        words = _words(prg.stream(seed, (first + lo) * per, n * per), "Q")
+        words = _words(next(runs), "Q")
         ints = array("i")
         ints.frombytes(records[4 * stride * lo : 4 * stride * (lo + n)])
         if _SWAP:
@@ -183,8 +183,7 @@ def augment(config: AugmentorConfig, sample: Sample, index: int) -> Sample:
 
 def augment_dataset(config: AugmentorConfig, dataset: Dataset) -> Dataset:
     """Apply augment() positionally; index i transforms sample i, on the
-    records: no Sample and no row is kept, and groups and labels are
-    unchanged."""
+    records: no Sample and no row is kept, and the ids pass through."""
     # Every augmented coordinate is saturated and the dimension is kept.
     records = _augment_records(config, dataset.records, dataset.dimension, 0)
-    return Dataset._of_records(*dataset.header, dataset.groups, dataset.labels, records)
+    return Dataset._of_records(*dataset.header, records)

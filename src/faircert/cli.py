@@ -3,9 +3,9 @@
 argparse checks every input before a command runs; the fairness spec is
 augmented exactly when --alpha is given. Exit codes: 0 success or accept, 2
 reject / not fair, or a bad or missing flag (argparse's usage on stderr), 3
-precondition failure, 4 protocol abort, or a peer that breaks the protocol
-or hangs up (one line on stderr). Every command is deterministic given
---seed (default 0); CSV outputs are byte-stable.
+precondition failure or an unreadable input file, 4 protocol abort, or a
+peer that breaks the protocol or hangs up (one stderr line each). Every command
+is deterministic given --seed (default 0); CSV outputs are byte-stable.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import sys
 from contextlib import ExitStack, closing
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 from . import fixedpoint as fx
 from .augmentor import AugmentorConfig, augment_dataset
@@ -130,6 +131,18 @@ _counts = _typed(_count, each=True)
 _host_port = _typed(parse_endpoint)
 
 
+class _InputError(Exception):
+    """An input file that cannot be read or parsed; main exits 3."""
+
+
+def _read(path: str, parse):
+    """parse(the bytes of the file at path); a bad config's JSON can raise any of these."""
+    try:
+        return parse(Path(path).read_bytes())
+    except (OSError, ValueError, LookupError, TypeError, ZeroDivisionError) as exc:
+        raise _InputError(f"{path}: {type(exc).__name__}: {exc}") from None
+
+
 def _write_out(path: str | None, write, rows) -> None:
     """write(fh, rows) to the file at path, or to stdout for None or "-"."""
     if path is None or path == "-":
@@ -196,8 +209,7 @@ def cmd_bound(args) -> int:
 def cmd_gen_data(args) -> int:
     config = _load_config(args)
     dataset, _, gaps = generate_planted(config, args.m, group_counts=args.group_counts)
-    with open(args.out, "wb") as fh:
-        fh.write(encode_dataset(dataset))
+    Path(args.out).write_bytes(encode_dataset(dataset))
     print(f"samples: {len(dataset.groups)}")
     print(f"true ore gap: {float(gaps.ore):.6f}")
     print(f"true eo gap: {float(gaps.eo):.6f}")
@@ -211,8 +223,7 @@ def cmd_gen_model(args) -> int:
         config = replace(config, error_rates=args.rates)
     model = planted_model(config)
     data = serialize_model(model)
-    with open(args.out, "wb") as fh:
-        fh.write(data)
+    Path(args.out).write_bytes(data)
     print(f"model bytes: {len(data)}")
     gaps = true_gaps(config)
     print(f"true ore gap: {float(gaps.ore):.6f}")
@@ -220,8 +231,7 @@ def cmd_gen_model(args) -> int:
 
 
 def _load_config(args) -> PlantedConfig:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = PlantedConfig.from_json(fh.read())
+    config = _read(args.config, lambda data: PlantedConfig.from_json(data.decode("utf-8")))
     # --seed always has a value, so it always replaces the config's own seed.
     return replace(config, seed=derive_key(_seed_bytes(args.seed), "data"))
 
@@ -233,11 +243,9 @@ def _failure_exit(label: str, reason: str) -> int:
 
 def _load_server(model_path: str, cert_path: str | None = None) -> Server:
     """The server for the model file, holding the certificate file if given."""
-    with open(model_path, "rb") as fh:
-        server = Server(deserialize_model(fh.read()))
+    server = Server(_read(model_path, deserialize_model))
     if cert_path is not None:
-        with open(cert_path, "rb") as fh:
-            server.certificate = Certificate.from_bytes(fh.read())
+        server.certificate = _read(cert_path, Certificate.from_bytes)
     return server
 
 
@@ -275,14 +283,12 @@ def cmd_certify(args) -> int:
             regulator_channel = _connector(stack, args.connect)()
             result = server.serve_certification(regulator_channel, _connector(stack, args.dealer))
     else:
-        with open(args.data, "rb") as fh:
-            dataset = decode_dataset(fh.read())
+        dataset = _read(args.data, decode_dataset)
         aug = args.aug if args.spec.augmented else None
         keypair = keygen(_signing_seed(args.seed))
         regulator = Regulator(keypair, dataset, args.spec, aug)
         if args.vk_out:
-            with open(args.vk_out, "wb") as fh:
-                fh.write(keypair.verification_key)
+            Path(args.vk_out).write_bytes(keypair.verification_key)
         if args.role == "regulator":
             with ExitStack() as stack:
                 result = regulator.certify(
@@ -296,8 +302,7 @@ def cmd_certify(args) -> int:
     action = "received" if args.role == "server" else "issued"
     print(f"certificate {action}: {result.model_digest.hex()}")
     if args.cert_out:
-        with open(args.cert_out, "wb") as fh:
-            fh.write(result.to_bytes())
+        Path(args.cert_out).write_bytes(result.to_bytes())
     return EXIT_OK
 
 
@@ -316,11 +321,7 @@ def cmd_infer(args) -> int:
         print("inference served")
         return EXIT_OK
 
-    if args.vk:
-        with open(args.vk, "rb") as fh:
-            vk = fh.read()
-    else:
-        vk = keygen(_signing_seed(args.seed)).verification_key
+    vk = _read(args.vk, bytes) if args.vk else keygen(_signing_seed(args.seed)).verification_key
     try:
         client = Client(args.features, vk, args.spec)
     except ValueError as exc:
@@ -343,8 +344,7 @@ def cmd_infer(args) -> int:
 
 def cmd_estimate_gates(args) -> int:
     if args.model:
-        with open(args.model, "rb") as fh:
-            report = estimate_gates_for_model(deserialize_model(fh.read()))
+        report = estimate_gates_for_model(_read(args.model, deserialize_model))
     else:
         report = estimate_gates(args.model_bytes, args.weight_bits)
     for line in report.to_lines():
@@ -534,6 +534,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ProtocolError, ChannelClosed) as exc:  # a peer deviated or hung up
         print(f"aborted: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ABORT
+    except _InputError as exc:
+        print(f"bad input: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
 
 
 if __name__ == "__main__":

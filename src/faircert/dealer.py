@@ -36,10 +36,10 @@ time it is asked for, so it aborts every session it is sent in.
 The decoded test set stays in its wire form, as every Dataset does: the
 dealer keeps the bundle's packed records (about 4 + 4d bytes per sample, a
 view of the session's input, which is itself a view of the payload of the
-frame that carried it, so the bundle is held once) and the group and label
-columns, and the batch kernel and the augmentor unpack each feature row as
-they read it. No row of the regulator's set is kept, where a row tuple
-would take about 224 bytes per sample at d = 4.
+frame that carried it, so the bundle is held once), the one store of each
+sample's ids and features. The batch kernel and the augmentor unpack each
+feature row as they read it, and no row of the regulator's set is kept,
+where a row tuple would take about 224 bytes per sample at d = 4.
 """
 
 from __future__ import annotations

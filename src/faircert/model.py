@@ -28,12 +28,12 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import floordiv, itemgetter, le, mod, mul, rshift
+from operator import itemgetter, le, mul, rshift
 from typing import Callable, Iterable, Sequence, Union
 
 from . import fixedpoint as fx
 from .fairness import IdOutOfRangeError, micro_fraction, to_micro
-from .prg import derive_key, stream, threshold
+from .prg import batches, derive_key, threshold
 from .prg import hash_u64  # noqa: F401  (defines the flip draw; bench/ traces it here)
 
 MODEL_MAGIC = b"FAIRM1"
@@ -44,7 +44,6 @@ ARCH_LOOKUP = 1
 ARCH_BIASED = 2
 
 _FLIP_TAG = b"flip:"
-_WIRE_IDS = 1 << 16  # group and label ids are u16 in a dataset record
 # Byte 2 of a planted noise word to the high bytes of its value (see
 # _planted_records): 0xff when bit 0, which is bit 16 of the word, is clear.
 _SIGNS = bytes(0 if b & 1 else 0xFF for b in range(256))
@@ -82,35 +81,32 @@ class Sample:
 
 @dataclass(frozen=True, init=False, eq=False)
 class Dataset:
-    """A labelled test set: its packed wire records and its group and label
-    columns; sample i is record i, groups[i] and labels[i].
+    """A labelled test set: its packed wire records, the one store of its
+    samples' ids and features; sample i is record i.
 
     `records` is the count x <HH{d}i> block that encode_dataset writes after
     its header: per sample its group and label (u16), then its d features
     (int32), little-endian on every host. That is about 4 + 4d bytes per
-    sample, against about 224 for a row tuple at d = 4. Every constructor
-    packs its rows once, and packing checks each row's length and int32
-    range; decode_dataset keeps the wire's block as it is. The kernels read
-    feature columns out of the block and the augmentor unpacks rows as it
-    reads them; nothing keeps a row.
-    `features` and `samples` build tuples on first use, for the callers that
-    want them. Two sets are equal when their headers and records are.
+    sample, against about 224 for a row tuple at d = 4. Dataset(...) and
+    from_columns pack each row once and check its length and int32 range;
+    every other constructor passes a block. The kernels read feature columns
+    out of the block and the augmentor unpacks rows as it reads them.
+    `groups` and `labels` are tuples of the block's ids, read when the set
+    is built; `features` and `samples` build tuples on first use. Two sets
+    are equal when their headers and records are.
     """
 
     dimension: int
     num_groups: int
     num_labels: int
-    groups: tuple[int, ...]
-    labels: tuple[int, ...]
     records: bytes | memoryview = field(repr=False)
 
     def __init__(
         self, dimension: int, num_groups: int, num_labels: int, samples: Iterable[Sample]
     ) -> None:
-        samples = tuple(samples)
-        groups, labels = tuple(s.group for s in samples), tuple(s.label for s in samples)
-        self._set_columns(dimension, num_groups, num_labels, groups, labels)
-        self._pack([s.features for s in samples])
+        header, samples = (dimension, num_groups, num_labels), tuple(samples)
+        ids = [s.group for s in samples], [s.label for s in samples]
+        self._hold(*header, _pack(*header, [s.features for s in samples], *ids))
 
     @classmethod
     def from_columns(
@@ -124,53 +120,30 @@ class Dataset:
     ) -> "Dataset":
         """Build from a feature, a group and a label column, checked as
         Dataset(...) checks its samples."""
-        dataset = cls.__new__(cls)
-        dataset._set_columns(dimension, num_groups, num_labels, tuple(groups), tuple(labels))
-        dataset._pack(tuple(features))
-        return dataset
+        header = dimension, num_groups, num_labels
+        block = _pack(*header, tuple(features), tuple(groups), tuple(labels))
+        return cls._of_records(*header, block)
 
     @classmethod
-    def _of_records(cls, dimension, num_groups, num_labels, groups, labels, records) -> "Dataset":
-        """A set over a block that holds len(groups) records carrying these
-        group and label ids; the columns are checked, the block is not."""
+    def _of_records(cls, dimension, num_groups, num_labels, records) -> "Dataset":
+        """The set over a block of whole records, unchecked but for its ids,
+        which are read out of the block and checked against the header."""
         dataset = cls.__new__(cls)
-        dataset._set_columns(dimension, num_groups, num_labels, groups, labels)
-        vars(dataset)["records"] = records
+        dataset._hold(dimension, num_groups, num_labels, records)
         return dataset
 
-    def _set_columns(self, dimension, num_groups, num_labels, groups, labels) -> None:
-        names = ("dimension", "num_groups", "num_labels", "groups", "labels")
-        vars(self).update(zip(names, (dimension, num_groups, num_labels, groups, labels)))
+    def _hold(self, dimension, num_groups, num_labels, records) -> None:
         if dimension < 1 or num_groups < 1 or num_labels < 1:
             raise ValueError("dimension, groups and labels must be positive")
-        if len(groups) != len(labels):
-            raise ValueError("feature, group and label columns differ in length")
-        if not groups:
-            return
+        # A record is 2 + 2 * dimension u16 items, the first two its ids. A
+        # u16 is never negative, so only a column's largest id can be out of range.
+        ids, half = _words(records, "H"), 2 + 2 * dimension
+        groups, labels = tuple(ids[::half]), tuple(ids[1::half])
         for name, column, bound in (("group", groups, num_groups), ("label", labels, num_labels)):
-            bound = min(bound, _WIRE_IDS)
-            low, high = min(column), max(column)
-            if low < 0 or high >= bound:
-                raise IdOutOfRangeError(f"{name} {low if low < 0 else high} outside [0, {bound})")
-
-    def _pack(self, rows: Sequence[tuple[int, ...]]) -> None:
-        if len(rows) != len(self.groups):
-            raise ValueError("feature, group and label columns differ in length")
-        record = struct.Struct(f"<HH{self.dimension}i").pack
-        try:
-            records = b"".join(
-                [record(g, y, *row) for g, y, row in zip(self.groups, self.labels, rows)]
-            )
-        except struct.error as exc:
-            # The ids are already in range, so the row is short, long or
-            # holds a value that is not an int32.
-            bad = next((row for row in rows if len(row) != self.dimension), None)
-            if bad is not None:
-                raise DimensionMismatchError(
-                    f"sample has {len(bad)} features, expected {self.dimension}"
-                ) from None
-            raise ValueError("feature outside the signed 32-bit range") from exc
-        vars(self)["records"] = records
+            if max(column, default=0) >= bound:
+                raise IdOutOfRangeError(f"{name} {max(column)} outside [0, {bound})")
+        names = ("dimension", "num_groups", "num_labels", "records", "groups", "labels")
+        vars(self).update(zip(names, (dimension, num_groups, num_labels, records, groups, labels)))
 
     @functools.cached_property
     def features(self) -> tuple[tuple[int, ...], ...]:
@@ -197,19 +170,43 @@ class Dataset:
         return decode_dataset, (encode_dataset(self),)
 
 
+def _pack(dimension, num_groups, num_labels, rows, groups, labels) -> bytes:
+    """The record block of these columns, each row packed once. A value
+    that no record field holds is looked for only when packing fails."""
+    if dimension < 1 or num_groups < 1 or num_labels < 1:
+        raise ValueError("dimension, groups and labels must be positive")
+    if not len(rows) == len(groups) == len(labels):
+        raise ValueError("feature, group and label columns differ in length")
+    record = struct.Struct(f"<HH{dimension}i").pack
+    try:
+        return b"".join([record(g, y, *row) for g, y, row in zip(groups, labels, rows)])
+    except struct.error as exc:
+        for name, column, bound in (("group", groups, num_groups), ("label", labels, num_labels)):
+            low, high, bound = min(column), max(column), min(bound, 1 << 16)  # ids are u16
+            if low < 0 or high >= bound:
+                bad = low if low < 0 else high
+                raise IdOutOfRangeError(f"{name} {bad} outside [0, {bound})") from None
+        # The ids are in range, so the row is short, long or holds a value
+        # that is not an int32.
+        bad = next((row for row in rows if len(row) != dimension), None)
+        if bad is not None:
+            raise DimensionMismatchError(
+                f"sample has {len(bad)} features, expected {dimension}"
+            ) from None
+        raise ValueError("feature outside the signed 32-bit range") from exc
+
+
 def canonical_order(dataset: Dataset) -> Dataset:
     """Stable sort by group id; the public ordering used for certification.
-    Whole records are moved as byte slices, none is unpacked: one itemgetter
-    over the sorted order picks the records, the groups and the labels. A
-    set already in order is returned as it is."""
+    Whole records are moved as byte slices, none is unpacked. A set already
+    in order is returned as it is."""
     groups = dataset.groups
     if all(map(le, groups, groups[1:])):
         return dataset
-    # Out of order means at least two samples, so pick returns tuples.
+    # Out of order means at least two samples, so pick returns a tuple.
     pick = itemgetter(*sorted(range(len(groups)), key=groups.__getitem__))
     records = [r for (r,) in struct.iter_unpack(f"{4 + 4 * dataset.dimension}s", dataset.records)]
-    block = b"".join(pick(records))
-    return Dataset._of_records(*dataset.header, pick(groups), pick(dataset.labels), block)
+    return Dataset._of_records(*dataset.header, b"".join(pick(records)))
 
 
 _DATASET_HEADER = struct.Struct("<IIII")  # dimension, groups, labels, count
@@ -223,8 +220,8 @@ def encode_dataset(dataset: Dataset) -> bytes:
 
 def decode_dataset(data: bytes | memoryview) -> Dataset:
     """The record block is kept as it is (a view when `data` is immutable
-    bytes, else a copy), and only the group and label columns are read out
-    of it."""
+    bytes, else a copy); each record holds exactly dim int32 values, so only
+    its ids need a range check."""
     if data[: len(DATASET_MAGIC)] != DATASET_MAGIC:
         raise MalformedDatasetError("bad dataset magic")
     offset = len(DATASET_MAGIC) + _DATASET_HEADER.size
@@ -242,12 +239,7 @@ def decode_dataset(data: bytes | memoryview) -> Dataset:
         block = bytes(block)  # no view into a buffer the caller may change
 
     try:
-        # Each record holds exactly dim int32 values, so only the group and
-        # label columns need a range check. They are the first two of the
-        # record's 2 + 2 * dim u16 items.
-        ids, half = _words(block, "H"), stride // 2
-        columns = tuple(ids[::half]), tuple(ids[1::half])
-        return Dataset._of_records(dim, groups, labels, *columns, block)
+        return Dataset._of_records(dim, groups, labels, block)
     except ValueError as exc:
         raise MalformedDatasetError(str(exc)) from exc
 
@@ -756,8 +748,8 @@ def generate_planted(
     ever rejected, and a set of N samples reads exactly its first
     N * (1 + noise_dims) words. Features are a one-hot +/-ONE block that
     decodes the label, then the noise. Samples are drawn in batches whose
-    words or records stay under _BATCH_BYTES; a batch edge may fall inside
-    a stream block, which both batches then hash.
+    words or records stay under _BATCH_BYTES, read through one prg.batches,
+    which hashes each stream block once.
     """
     labels_count, per = config.num_labels, 1 + config.noise_dims
     if group_counts is None:
@@ -786,22 +778,16 @@ def generate_planted(
     labels_range = range(labels_count)
     one_hot = [[fx.ONE if j == y else -fx.ONE for j in labels_range] for y in labels_range]
     prefixes = [pack(g, y, *one_hot[y]) for g in range(config.num_groups) for y in labels_range]
-    key = derive_key(config.seed, "data")
     sample_bytes = max(8 * per, 4 + 4 * config.dimension)  # its words, or its record
     batch = max(1, _BATCH_BYTES // sample_bytes)
-    cells, chunks = [], []
-    for first in range(0, count, batch):
-        n = min(batch, count - first)
-        words = stream(key, first * per, n * per)
+    chunks = []
+    for words in batches(derive_key(config.seed, "data"), 0, count * per, batch * per):
         draws = _words(words, "Q")[::per]
+        n = len(draws)
         drawn = list(map(bisect_right, repeat(limits), draws, islice(lows, n), islice(highs, n)))
         chunks.append(_planted_records(prefixes, drawn, words, per))
-        cells += drawn
-    groups = tuple(map(floordiv, cells, repeat(labels_count)))
-    labels = tuple(map(mod, cells, repeat(labels_count)))
     header = config.dimension, config.num_groups, labels_count
-    dataset = Dataset._of_records(*header, groups, labels, b"".join(chunks))
-    return dataset, planted_model(config), true_gaps(config)
+    return Dataset._of_records(*header, b"".join(chunks)), planted_model(config), true_gaps(config)
 
 
 def _planted_records(

@@ -4,8 +4,8 @@ Block b of a key's stream is the first BLOCK_BYTES bytes of
 SHAKE256(key || b as 8-byte little-endian); the stream is its blocks in
 order, read as little-endian 64-bit words, so a (key, word index) pair
 always yields the same draw on every platform and in any call order.
-`stream` is the one definition of that stream and the only place that
-hashes for it. All simulation randomness in the package (planted data,
+`stream` and `batches` read that stream, and `_blocks` is the one place
+that hashes for it. All simulation randomness in the package (planted data,
 augmentation noise and masks, `CounterPrg`) is read from it; the planted
 model's label flips are drawn by `hash_u64`.
 
@@ -19,7 +19,8 @@ from __future__ import annotations
 import hashlib
 import struct
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain
+from typing import Iterator
 
 _U64 = 1 << 64
 _COUNTER = struct.Struct("<Q")
@@ -38,18 +39,32 @@ def hash_u64(*parts: bytes) -> int:
     return int.from_bytes(hashlib.sha3_256(b"".join(parts)).digest()[:8], "little")
 
 
+def _blocks(key: bytes, first: int, end: int) -> Iterator[bytes]:
+    """Words first .. end - 1 of key's stream, a block at a time, each hashed
+    once, the last only as far as the run reads (a prefix of the full block)."""
+    shake, pack = hashlib.shake_256, _COUNTER.pack
+    for b in range(first // _BLOCK_WORDS, -(-end // _BLOCK_WORDS)):
+        block = shake(key + pack(b)).digest(min(BLOCK_BYTES, 8 * end - b * BLOCK_BYTES))
+        yield block[max(0, 8 * first - b * BLOCK_BYTES) :]
+
+
 def stream(key: bytes, first: int, words: int) -> bytes:
     """Words first .. first + words - 1 of key's stream, 8 * words
-    little-endian bytes in stream order. Only the blocks the run touches are
-    hashed, and the last only as far as the run reads: a SHAKE256 output is
-    a prefix of any longer one."""
-    end = 8 * (first + words)
-    shake, pack = hashlib.shake_256, _COUNTER.pack
-    blocks = range(first // _BLOCK_WORDS, -(-(first + words) // _BLOCK_WORDS))
-    data = b"".join(
-        [shake(key + pack(b)).digest(min(BLOCK_BYTES, end - b * BLOCK_BYTES)) for b in blocks]
-    )
-    return data[8 * first - blocks.start * BLOCK_BYTES :]
+    little-endian bytes in stream order."""
+    return b"".join(_blocks(key, first, first + words))
+
+
+def batches(key: bytes, first: int, words: int, batch: int) -> Iterator[bytes]:
+    """stream(key, first, words) in runs of `batch` words (the last may be
+    shorter). Each block is hashed once wherever the runs cut it: a run
+    that ends inside a block keeps the block's unread tail for the next."""
+    blocks, held = _blocks(key, first, first + words), bytearray()
+    for lo in range(0, words, batch):
+        size = 8 * min(batch, words - lo)
+        while len(held) < size:
+            held += next(blocks)
+        yield bytes(held[:size])
+        del held[:size]
 
 
 def threshold(prob: Fraction) -> int:
@@ -62,11 +77,9 @@ class CounterPrg:
     """The uniform draws of a key's stream, one word at a time."""
 
     def __init__(self, key: bytes):
-        key = bytes(key)
         # Each refill is one whole stream block: one hash call, made when the
         # previous block's words run out.
-        blocks = (stream(key, b * _BLOCK_WORDS, _BLOCK_WORDS) for b in count())
-        self._draws = chain.from_iterable(map(_BLOCK.unpack, blocks))
+        self._draws = chain.from_iterable(map(_BLOCK.unpack, _blocks(bytes(key), 0, _U64)))
 
     def u64(self) -> int:
         return next(self._draws)

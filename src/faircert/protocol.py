@@ -363,7 +363,7 @@ class Regulator:
         # mode, the public augmentor parameters; never the seed.
         aug_public = aug.encode_public() if aug is not None else None
         self._request = encode_cert_request(spec, len(self.dataset.groups), aug_public)
-        self._bundle: bytes | None = None
+        self._dealer_input: bytes | None = None
         self._required: tuple[int, tuple[int, ...]] | None = None
 
     def required_counts(self) -> tuple[int, tuple[int, ...]]:
@@ -379,13 +379,6 @@ class Regulator:
             self._required = needed, relevant_counts(table, self.spec.metric)
         return self._required
 
-    def bundle(self) -> bytes:
-        """The test bundle fed to the dealer; encoded at the first
-        certification and reused by every later one."""
-        if self._bundle is None:
-            self._bundle = encode_test_bundle(self.spec, self.dataset, self.aug)
-        return self._bundle
-
     def precheck(self) -> bool:
         needed, observed = self.required_counts()
         return min(observed) >= needed
@@ -398,9 +391,13 @@ class Regulator:
         chan_s = server_factory()
         _hello(chan_s, ROLE_REGULATOR, ROLE_SERVER)
         chan_s.send_frame(Frame(FRAME_CERT_REQUEST, self._request))
+        if self._dealer_input is None:  # the circuit byte and the bundle, built once
+            bundle = encode_test_bundle(self.spec, self.dataset, self.aug)
+            self._dealer_input = bytes([CIRCUIT_CERT]) + bundle
+            del bundle  # held through the session, it would double the input
         chan_f = dealer_factory()
         _hello(chan_f, ROLE_REGULATOR, ROLE_DEALER)
-        chan_f.send_frame(Frame(FRAME_COMPUTE_INPUT, bytes([CIRCUIT_CERT]) + self.bundle()))
+        chan_f.send_frame(Frame(FRAME_COMPUTE_INPUT, self._dealer_input))
         result = chan_f.recv_frame()
         if result.type == FRAME_ABORT:
             chan_s.send_frame(Frame(FRAME_ABORT, b""))
@@ -483,10 +480,11 @@ class Client:
     """Demands a spec, queries the model, verifies the certificate."""
 
     def __init__(self, features: tuple[int, ...], verification_key: bytes, spec: FairnessSpec):
-        """ValueError for a feature that is not an int32, before any
-        channel opens."""
+        """ValueError for a feature that is not an int32 or a key that is
+        not 32 bytes, before any channel opens."""
         self.query = encode_query(tuple(features))
         self.verification_key = verification_key
+        self._key_id = key_id(verification_key)
         self.spec = spec
 
     def infer(
@@ -528,7 +526,7 @@ class Client:
     def _check_certificate(self, cert: Certificate, digest: bytes) -> str | None:
         if cert.spec != self.spec:
             return REASON_SPEC_MISMATCH
-        if cert.regulator_key_id != key_id(self.verification_key):
+        if cert.regulator_key_id != self._key_id:
             return REASON_SIG_INVALID
         message = certificate_message(digest, self.spec)
         if not verify(self.verification_key, message, cert.signature):

@@ -532,6 +532,37 @@ def test_certify_dealer_no_party_connects_exits_4(capsys, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["gen-data", "--config", "{missing}", "--out", "{out}"], "FileNotFoundError"),
+        (["gen-data", "--config", "{no_rates}", "--out", "{out}"], "KeyError: 'error_rates'"),
+        (["certify", "--data", "{junk}", "--model", "{model}"],
+         "MalformedDatasetError: bad dataset magic"),
+        (["certify", "--data", "{data}", "--model", "{junk}"],
+         "MalformedModelError: bad model magic"),
+        (["estimate-gates", "--model", "{junk}"], "MalformedModelError: bad model magic"),
+        (["infer", "--model", "{model}", "--cert", "{junk}", "--features", "0"],
+         "MalformedCertificateError: bad certificate magic"),
+        (["infer", "--model", "{model}", "--cert", "{cert}", "--vk", "{junk}", "--features", "0"],
+         "verification key must be 32 bytes"),
+    ],
+    ids=("config-missing", "config-without-rates", "data-junk", "model-junk",
+         "estimate-gates-model-junk", "cert-junk", "vk-junk"),
+)
+def test_a_bad_input_file_exits_3_with_one_line(tmp_path, config_path, capsys, argv, line):
+    data, model, cert, _ = certified_setup(tmp_path, config_path, capsys)
+    no_rates, junk = tmp_path / "no-rates.json", tmp_path / "junk.bin"
+    no_rates.write_text('{"cell_weights": [["1/2", "1/2"]], "seed": "0000000000000000"}')
+    junk.write_bytes(b"not a faircert file")
+    paths = dict(missing=tmp_path / "missing.json", no_rates=no_rates, junk=junk,
+                 data=data, model=model, cert=cert, out=tmp_path / "out.bin")
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == 3
+    [err] = capsys.readouterr().err.splitlines()
+    assert line in err
+
+
 BOUND = ["--efg", "0", "--delta", "0.05", "--groups", "2"]
 DEALER = ["--dealer", "127.0.0.1:9"]
 

@@ -2,7 +2,7 @@ import copy
 import math
 import pickle
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import accumulate, chain
 
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from faircert import fixedpoint as fx
 from faircert import model as model_module
+from faircert.augmentor import AugmentorConfig, augment_dataset
 from faircert.model import (
     DATASET_MAGIC,
     BiasedModel,
@@ -340,6 +341,33 @@ def test_dataset_columns_and_samples_agree():
         Dataset.from_columns(2, 2, 2, built.features, built.groups, (0,))
 
 
+def ids_in_records(dataset):
+    """The u16 group and label ids at bytes 0 and 2 of every record."""
+    heads = struct.iter_unpack(f"<HH{4 * dataset.dimension}x", dataset.records)
+    return tuple(zip(*heads))
+
+
+def test_ids_are_read_from_the_record_block():
+    samples = (Sample((1, 2), 1, 0), Sample((3, 4), 0, 2), Sample((5, 6), 1, 1))
+    built = Dataset(2, 2, 3, samples)
+    config = replace(quarter_config(), noise_dims=3)
+    aug = AugmentorConfig(b"\x05" * 8, ONE // 4, Fraction(1, 5), Fraction(1, 2))
+    ordered = canonical_order(built)
+    sets = (
+        built,
+        Dataset.from_columns(2, 2, 3, built.features, built.groups, built.labels),
+        decode_dataset(encode_dataset(built)),
+        generate_planted(config, 50)[0],
+        generate_planted(config, 0, group_counts=(20, 30))[0],
+        ordered,
+        augment_dataset(aug, generate_planted(config, 40)[0]),
+    )
+    assert [f.name for f in fields(Dataset)] == ["dimension", "num_groups", "num_labels", "records"]
+    assert ordered.groups == (0, 1, 1)
+    for dataset in sets:
+        assert (dataset.groups, dataset.labels) == ids_in_records(dataset)
+
+
 def test_dataset_validation():
     with pytest.raises(IdOutOfRangeError):
         Dataset(1, 1, 1, (Sample((0,), 1, 0),))
@@ -504,7 +532,7 @@ def test_generate_refuses_a_negative_size_before_hashing(monkeypatch):
     def no_stream(*args):
         raise AssertionError("the stream was hashed")
 
-    monkeypatch.setattr(model_module, "stream", no_stream)
+    monkeypatch.setattr(model_module, "batches", no_stream)
     with pytest.raises(ValueError, match="m must be nonnegative"):
         generate_planted(quarter_config(), -1)
     with pytest.raises(ValueError, match="group counts must be nonnegative"):

@@ -1,13 +1,18 @@
 import hashlib
 from fractions import Fraction
 
+import pytest
 from conftest import restated_words
 from hypothesis import given
 from hypothesis import strategies as st
 
+from faircert import fixedpoint as fx
 from faircert import prg as prg_module
+from faircert.augmentor import AugmentorConfig, augment_dataset
+from faircert.model import PlantedConfig, generate_planted
 from faircert.prg import (
     CounterPrg,
+    batches,
     derive_key,
     hash_u64,
     stream,
@@ -34,8 +39,8 @@ def test_derive_key_separates_labels():
     assert derive_key(master, "a") != derive_key(master, "b")
 
 
-def test_counter_prg_refills_one_stream_block_per_hash_call(monkeypatch):
-    key = b"\x02" * 8
+def counted_shake_inputs(monkeypatch) -> list:
+    """The input of every SHAKE256 call prg makes from now on."""
     calls = []
 
     class CountingHashlib:
@@ -47,6 +52,12 @@ def test_counter_prg_refills_one_stream_block_per_hash_call(monkeypatch):
             return getattr(hashlib, name)
 
     monkeypatch.setattr(prg_module, "hashlib", CountingHashlib())
+    return calls
+
+
+def test_counter_prg_refills_one_stream_block_per_hash_call(monkeypatch):
+    key = b"\x02" * 8
+    calls = counted_shake_inputs(monkeypatch)
     prg = CounterPrg(key)
     block0 = hashlib.shake_256(key + (0).to_bytes(8, "little")).digest(4096)
     assert prg.u64() == int.from_bytes(block0[:8], "little")
@@ -196,3 +207,47 @@ def test_choose_weighted_agrees_with_the_fraction_scan(weights, draw):
 
     prg = FixedPrg(draws)
     assert [prg.choose_weighted(cumulative) for _ in draws] == [scan(u) for u in draws]
+
+
+def planted_config(groups, labels, noise_dims, seed):
+    weights = ((Fraction(1, groups * labels),) * labels,) * groups
+    return PlantedConfig(weights, (Fraction(0),) * groups, seed, noise_dims)
+
+
+def draw_private_set():
+    """2 x 50,000 samples of 3 words: 300,000 words, 586 blocks."""
+    config = planted_config(2, 2, 2, b"\x41" * 8)
+    return lambda: generate_planted(config, 0, group_counts=(50_000, 50_000)), 586
+
+
+def draw_wide_set():
+    """2 x 200 samples of 775 words: 310,000 words, 606 blocks."""
+    config = planted_config(2, 10, 774, b"\x42" * 8)
+    return lambda: generate_planted(config, 0, group_counts=(200, 200)), 606
+
+
+def augment_eo_set():
+    """4 x 6,000 samples of 6 features, 14 words each: 336,000 words, 657
+    blocks."""
+    config = planted_config(4, 3, 3, b"\x43" * 8)
+    dataset = generate_planted(config, 0, group_counts=(6_000,) * 4)[0]
+    aug = AugmentorConfig(b"\x44" * 8, fx.ONE // 20, Fraction(1, 10), Fraction(1, 2))
+    return lambda: augment_dataset(aug, dataset), 657
+
+
+@pytest.mark.parametrize("case", (draw_private_set, draw_wide_set, augment_eo_set))
+def test_batched_readers_hash_each_stream_block_once(case, monkeypatch):
+    # The sizes of the benchmark's sets: their batch edges fall inside
+    # stream blocks, which the next batch must not hash again.
+    run, blocks = case()
+    calls = counted_shake_inputs(monkeypatch)
+    run()
+    assert len(calls) == len(set(calls)) == blocks
+
+
+@given(st.binary(min_size=1, max_size=24), word_index, word_index, st.integers(1, 1100))
+def test_batches_cut_the_stream_into_runs(key, first, words, batch):
+    runs = list(batches(key, first, words, batch))
+    sizes = [8 * min(batch, words - lo) for lo in range(0, words, batch)]
+    assert [len(run) for run in runs] == sizes
+    assert b"".join(runs) == stream(key, first, words)
