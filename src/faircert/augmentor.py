@@ -122,8 +122,8 @@ def _augment_records(
     record i is transformed with sample index first + i, and the ids pass
     through.
 
-    Sample i reads words i * (2 + 2d) onward of the master seed's
-    prg.stream, in this fixed layout: its noise invocation word, its mask
+    Sample i reads words i * (2 + 2d) onward of the master seed's PRG
+    stream, in this fixed layout: its noise invocation word, its mask
     invocation word, d noise words, then d mask words, which are reserved
     (unread) when the mask probability is 0, so masking moves no noise
     word. A coordinate noised with word u gains the step

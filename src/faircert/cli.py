@@ -1,10 +1,12 @@
 """Command-line interface.
 
-argparse checks every input before a command runs; the fairness spec is
+argparse checks every flag before a command runs, but for a value that only
+the config file or the library can refuse (a rate list one short), which
+the command reports as the same usage error. The fairness spec is
 augmented exactly when --alpha is given. Exit codes: 0 success or accept, 2
-reject / not fair, or a bad or missing flag (argparse's usage on stderr), 3
-precondition failure or an unreadable input file, 4 protocol abort, or a
-peer that breaks the protocol or hangs up (one stderr line each). Every command
+reject / not fair, or a bad or missing flag, 3 precondition failure or an
+unreadable input file, 4 protocol abort, or a peer that breaks the protocol
+or hangs up; each failure but a rejection is one stderr line. Every command
 is deterministic given --seed (default 0); CSV outputs are byte-stable.
 """
 
@@ -12,9 +14,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import struct
 import sys
-from contextlib import ExitStack, closing
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -125,10 +128,39 @@ def _count(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} is not positive")
+    return value
+
+
+def _tau(text: str) -> float:
+    """A routing distance: inf, or a nonnegative one whose Q16.16 square is finite."""
+    tau = float(text)
+    if not tau >= 0:  # nan too
+        raise ValueError(f"{text} is not a nonnegative distance")
+    if not math.isinf(tau) and math.isinf((tau * fx.ONE) * (tau * fx.ONE)):
+        raise ValueError(f"{text} is too large to square; use inf")
+    return tau
+
+
 _micro = _typed(parse_micro)
 _micro_list = _typed(parse_micro, each=True)
+_count_flag = _typed(_count)
 _counts = _typed(_count, each=True)
+_positive_flag = _typed(_positive)
 _host_port = _typed(parse_endpoint)
+
+
+@contextmanager
+def _blame(flag: str):
+    """Turn a ValueError raised inside, for a flag value that parses but that
+    the config file or the library refuses, into a usage error of flag."""
+    try:
+        yield
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{flag}: {exc}") from None
 
 
 class _InputError(Exception):
@@ -208,7 +240,8 @@ def cmd_bound(args) -> int:
 
 def cmd_gen_data(args) -> int:
     config = _load_config(args)
-    dataset, _, gaps = generate_planted(config, args.m, group_counts=args.group_counts)
+    with _blame("--group-counts"):
+        dataset, _, gaps = generate_planted(config, args.m, group_counts=args.group_counts)
     Path(args.out).write_bytes(encode_dataset(dataset))
     print(f"samples: {len(dataset.groups)}")
     print(f"true ore gap: {float(gaps.ore):.6f}")
@@ -220,7 +253,8 @@ def cmd_gen_data(args) -> int:
 def cmd_gen_model(args) -> int:
     config = _load_config(args)
     if args.rates:
-        config = replace(config, error_rates=args.rates)
+        with _blame("--rates"):
+            config = replace(config, error_rates=args.rates)
     model = planted_model(config)
     data = serialize_model(model)
     Path(args.out).write_bytes(data)
@@ -354,17 +388,20 @@ def cmd_estimate_gates(args) -> int:
 
 def cmd_experiment_coverage(args) -> int:
     config = _load_config(args)
-    results = run_coverage(
-        config, args.spec, args.trials, m=args.m, group_counts=args.group_counts
-    )
+    with _blame("--group-counts" if args.group_counts else "--m"):  # a count or an empty cell
+        results = run_coverage(
+            config, args.spec, args.trials, m=args.m, group_counts=args.group_counts
+        )
     _write_out(args.out, write_coverage_csv, results)
     return EXIT_OK
 
 
 def cmd_attack_knn(args) -> int:
     config = _load_config(args)
-    fair_cfg = replace(config, error_rates=args.fair_rates)
-    unfair_cfg = replace(config, error_rates=args.unfair_rates)
+    with _blame("--fair-rates"):
+        fair_cfg = replace(config, error_rates=args.fair_rates)
+    with _blame("--unfair-rates"):
+        unfair_cfg = replace(config, error_rates=args.unfair_rates)
     fair = planted_model(fair_cfg)
     unfair = planted_model(unfair_cfg)
     ref_cfg = replace(config, seed=derive_key(config.seed, "reference"))
@@ -379,7 +416,8 @@ def cmd_attack_knn(args) -> int:
 
 def cmd_augment_sweep(args) -> int:
     config = _load_config(args)
-    points = augmentation_sweep(config, args.m, args.aug, args.degrees)
+    with _blame("--m"):  # a set so small that a group draws no sample
+        points = augmentation_sweep(config, args.m, args.aug, args.degrees)
     _write_out(args.out, write_sweep_csv, points)
     return EXIT_OK
 
@@ -417,8 +455,16 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, subcommands included, whose usage error is one
+    stderr line naming the command, with status 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="faircert",
         description="Certified group-fairness testing and private inference.",
     )
@@ -435,14 +481,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_micro, required=True)
     p.add_argument("--efg", type=_micro, required=True, help="observed or assumed empirical gap")
     p.add_argument("--delta", type=_micro, required=True)
-    p.add_argument("--groups", type=int, required=True)
-    p.add_argument("--labels", type=int, default=2)
+    p.add_argument("--groups", type=_positive_flag, required=True)
+    p.add_argument("--labels", type=_positive_flag, default=2)
     p.add_argument("--variant", default="union", choices=["union", "efficiency"])
     p.set_defaults(metric="ore", alpha=None)
 
     p = add("gen-data", cmd_gen_data, help="draw a planted test set to a file")
     p.add_argument("--config", required=True, help="planted-config JSON path")
-    p.add_argument("--m", type=int, default=0)
+    p.add_argument("--m", type=_count_flag, default=0)
     p.add_argument("--group-counts", type=_counts, help="exact per-group sizes, comma list")
     p.add_argument("--out", required=True)
 
@@ -468,13 +514,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("estimate-gates", cmd_estimate_gates, help="commitment/inference gate costs")
     p.add_argument("--model")
-    p.add_argument("--model-bytes", type=int)
-    p.add_argument("--weight-bits", type=int)
+    p.add_argument("--model-bytes", type=_positive_flag)
+    p.add_argument("--weight-bits", type=_count_flag)
 
     p = add("experiment-coverage", cmd_experiment_coverage, help="repeated planted trials, CSV")
     p.add_argument("--config", required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--m", type=int, default=0)
+    p.add_argument("--trials", type=_positive_flag, default=100)
+    p.add_argument("--m", type=_count_flag, default=0)
     p.add_argument("--group-counts", type=_counts)
     _add_spec_flags(p)
     p.add_argument("--out")
@@ -483,16 +529,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--fair-rates", type=_micro_list, required=True)
     p.add_argument("--unfair-rates", type=_micro_list, required=True)
-    p.add_argument("--ref-size", type=int, default=400)
-    p.add_argument("--eval-size", type=int, default=1000)
-    p.add_argument("--taus", type=_typed(float, each=True), required=True,
+    p.add_argument("--ref-size", type=_positive_flag, default=400)
+    p.add_argument("--eval-size", type=_positive_flag, default=1000)
+    p.add_argument("--taus", type=_typed(_tau, each=True), required=True,
                    help="comma list, inf allowed")
     _add_aug_flags(p, "attack-aug")
     p.add_argument("--out")
 
     p = add("augment-sweep", cmd_augment_sweep, help="accuracy/gap across degrees")
     p.add_argument("--config", required=True)
-    p.add_argument("--m", type=int, default=2000)
+    p.add_argument("--m", type=_positive_flag, default=2000)
     _add_aug_flags(p, "augment")
     p.add_argument("--degrees", type=_micro_list, default="0,0.25,0.5,0.75,1")
     p.add_argument("--out")
@@ -537,6 +583,8 @@ def main(argv: list[str] | None = None) -> int:
     except _InputError as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except argparse.ArgumentTypeError as exc:  # from _blame
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -11,17 +11,17 @@ for line-oriented audit files.
 Two circuits exist, each one function of the two inputs: it parses both
 once, aborts on an input it cannot use, and evaluates. The certification
 circuit evaluates the server's model on the regulator's test bundle in one
-batch (augmenting it first when the bundle says so) and decides fairness
-with fairness.decide, the one certification rule: the exact rational gap
-is below the threshold and every relevant count reaches the sample bound
-at that gap. A compared cell with no samples aborts the session with
-EMPTY_CELL; every cell is checked before any pair, so the verdict does not
-depend on the order of the groups. The inference circuit
-returns the model's label for one query plus the Merkle digest of the model
-bytes actually used, which is what lets the client check the certificate
-afterwards. It scores the query's wire bytes as they arrived: a query is a
-u32 dimension and that many int32s, which is a record whose 4 head bytes
-the kernel skips.
+batch (augmenting it first when its spec has an alpha: the spec alone names
+the mode) and decides fairness with fairness.decide, the one certification
+rule: the exact rational gap is below the threshold and every relevant
+count reaches the sample bound at that gap. A compared cell with no samples
+aborts the session with EMPTY_CELL; every cell is checked before any pair,
+so the verdict does not depend on the order of the groups. The inference
+circuit returns the model's label for one query plus the Merkle digest of
+the model bytes actually used, which is what lets the client check the
+certificate afterwards. It scores the query's wire bytes as they arrived: a
+query is a u32 dimension and that many int32s, which is a record whose 4
+head bytes the kernel skips.
 
 A server sends the same model bytes every session, so the dealer keeps what
 it derives from them in one memo, keyed by the exact bytes: the transcript
@@ -85,10 +85,6 @@ ABORT_GROUP_MISMATCH = "GROUP_MISMATCH"
 ABORT_LABEL_MISMATCH = "LABEL_MISMATCH"
 ABORT_CIRCUIT_MISMATCH = "CIRCUIT_MISMATCH"
 
-MODE_PRIVATE_BYTE = 0
-MODE_AUGMENTED_BYTE = 1
-
-
 class SessionAbort(RuntimeError):
     def __init__(self, reason: str):
         super().__init__(reason)
@@ -97,15 +93,25 @@ class SessionAbort(RuntimeError):
 
 # Test bundle: what the checking party feeds the certification circuit.
 
+def augmentor_block(spec: FairnessSpec, aug: AugmentorConfig | None, seed: bool) -> bytes:
+    """What a header carries after its spec: aug's public parameters, led by
+    its seed when seed is set, or nothing; ValueError unless aug is given
+    exactly when the spec is augmented."""
+    if (aug is not None) != spec.augmented:
+        need = "needs an" if spec.augmented else "takes no"
+        raise ValueError(f"spec {spec.fairness_string} {need} augmentor config")
+    if aug is None:
+        return b""
+    return aug.encode() if seed else aug.encode_public()
+
+
 def encode_test_bundle(
     spec: FairnessSpec, dataset: Dataset, aug: AugmentorConfig | None = None
 ) -> bytes:
-    out = encode_fairness_spec(spec)
-    if aug is None:
-        out += bytes([MODE_PRIVATE_BYTE])
-    else:
-        out += bytes([MODE_AUGMENTED_BYTE]) + aug.encode()
-    return out + encode_dataset(dataset)
+    """The spec, aug's 24 bytes (seed first) when the spec is augmented,
+    then the dataset."""
+    block = augmentor_block(spec, aug, seed=True)
+    return encode_fairness_spec(spec) + block + encode_dataset(dataset)
 
 
 def decode_test_bundle(
@@ -115,25 +121,11 @@ def decode_test_bundle(
     MalformedDatasetError."""
     try:
         spec, offset = decode_fairness_spec(data, 0)
-    except ValueError as exc:
-        raise MalformedDatasetError(f"bundle spec: {exc}") from exc
-    if offset >= len(data):
-        raise MalformedDatasetError("bundle missing mode byte")
-    mode = data[offset]
-    offset += 1
-    aug = None
-    if mode == MODE_AUGMENTED_BYTE:
-        end = offset + SEED_BYTES + CONFIG_BYTES
-        try:
-            aug = AugmentorConfig.decode(bytes(data[offset:end]))
-        except ValueError as exc:
-            raise MalformedDatasetError(f"bundle augmentor config: {exc}") from exc
-        offset = end
-    elif mode != MODE_PRIVATE_BYTE:
-        raise MalformedDatasetError(f"unknown bundle mode {mode}")
-    if (aug is not None) != spec.augmented:
-        raise MalformedDatasetError("bundle mode byte disagrees with its spec")
-    return spec, decode_dataset(memoryview(data)[offset:]), aug
+        end = offset + (SEED_BYTES + CONFIG_BYTES if spec.augmented else 0)
+        aug = AugmentorConfig.decode(bytes(data[offset:end])) if spec.augmented else None
+    except ValueError as exc:  # a bad spec, or a bad config after an augmented one
+        raise MalformedDatasetError(f"bundle header: {exc}") from exc
+    return spec, decode_dataset(memoryview(data)[end:]), aug
 
 
 def certification_decision(spec: FairnessSpec, table: GroupRiskTable) -> bool:

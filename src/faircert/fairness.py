@@ -76,10 +76,6 @@ class FairnessMetric(enum.Enum):
     DP = "dp"    # per-group likelihood of each predicted label
 
 
-MODE_PRIVATE = "private"
-MODE_AUGMENTED = "augmented"
-
-
 def _check_unit_interval(name: str, value: Fraction) -> None:
     if not (0 < value < 1):
         raise ValueError(f"{name} must lie strictly between 0 and 1")
@@ -112,7 +108,7 @@ class FairnessSpec:
     @property
     def fairness_string(self) -> str:
         """The human-readable tag naming the metric and mode, e.g. "ore-private"."""
-        return f"{self.metric.value}-{MODE_AUGMENTED if self.augmented else MODE_PRIVATE}"
+        return f"{self.metric.value}-{'augmented' if self.augmented else 'private'}"
 
     @property
     def threshold(self) -> Fraction:

@@ -4,10 +4,10 @@ Block b of a key's stream is the first BLOCK_BYTES bytes of
 SHAKE256(key || b as 8-byte little-endian); the stream is its blocks in
 order, read as little-endian 64-bit words, so a (key, word index) pair
 always yields the same draw on every platform and in any call order.
-`stream` and `batches` read that stream, and `_blocks` is the one place
-that hashes for it. All simulation randomness in the package (planted data,
-augmentation noise and masks, `CounterPrg`) is read from it; the planted
-model's label flips are drawn by `hash_u64`.
+`batches` and `CounterPrg` read that stream, and `_blocks` is the one
+place that hashes for it. All simulation randomness in the package
+(planted data, augmentation noise and masks, `CounterPrg`) is read from
+it; the planted model's label flips are drawn by `hash_u64`.
 
 A draw u is compared with a probability p exactly, as u / 2**64 < p, through
 the integer `threshold(p)`: for an integer u, u * den < num * 2**64 holds
@@ -48,14 +48,9 @@ def _blocks(key: bytes, first: int, end: int) -> Iterator[bytes]:
         yield block[max(0, 8 * first - b * BLOCK_BYTES) :]
 
 
-def stream(key: bytes, first: int, words: int) -> bytes:
-    """Words first .. first + words - 1 of key's stream, 8 * words
-    little-endian bytes in stream order."""
-    return b"".join(_blocks(key, first, first + words))
-
-
 def batches(key: bytes, first: int, words: int, batch: int) -> Iterator[bytes]:
-    """stream(key, first, words) in runs of `batch` words (the last may be
+    """Words first .. first + words - 1 of key's stream, as little-endian
+    bytes in stream order, in runs of `batch` words (the last may be
     shorter). Each block is hashed once wherever the runs cut it: a run
     that ends inside a block keeps the block's unread tail for the next."""
     blocks, held = _blocks(key, first, first + words), bytearray()

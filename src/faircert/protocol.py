@@ -17,7 +17,8 @@ and only the total sample count, both parties feed the certification
 circuit, and the regulator turns a favourable fair-bit into a signed
 certificate over the model digest the circuit reported; the server keeps it
 only if it parses and names the server's own model root and the requested
-spec. Augmented mode runs the same exchange: the request carries the
+spec. The spec alone names the mode: it is augmented exactly when it has an
+alpha. Augmented mode runs the same exchange: the request carries the
 public augmentor parameters, and the 8-byte master seed travels only in the
 regulator's bundle to the dealer. After the request the regulator sends the
 server nothing until the dealer has answered, and the dealer answers only
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .augmentor import AugmentorConfig, CONFIG_BYTES
+from .augmentor import CONFIG_BYTES, AugmentorConfig
 from .crypto import (
     Certificate,
     KeyPair,
@@ -57,10 +58,9 @@ from .dealer import (
     CIRCUIT_CERT,
     CIRCUIT_INFER,
     FscSession,
-    MODE_AUGMENTED_BYTE,
-    MODE_PRIVATE_BYTE,
     PARTY_CHECKER,
     PARTY_SERVER,
+    augmentor_block,
     encode_query,
     encode_test_bundle,
 )
@@ -279,17 +279,18 @@ def _hello(channel, my_role: int, peer_role: int) -> None:
 
 
 def encode_cert_request(
-    spec: FairnessSpec, total_samples: int, aug_public: bytes | None
+    spec: FairnessSpec, total_samples: int, aug: AugmentorConfig | None
 ) -> bytes:
-    out = encode_fairness_spec(spec) + struct.pack("<I", total_samples)
-    if aug_public is None:
-        return out + bytes([MODE_PRIVATE_BYTE])
-    if len(aug_public) != CONFIG_BYTES:
-        raise ValueError(f"augmentor config block must be {CONFIG_BYTES} bytes")
-    return out + bytes([MODE_AUGMENTED_BYTE]) + aug_public
+    """What the server learns: the spec, the total and, for an augmented
+    spec, aug's public parameters, never its seed. ValueError when aug is
+    given for a private spec or missing for an augmented one."""
+    block = augmentor_block(spec, aug, seed=False)
+    return encode_fairness_spec(spec) + struct.pack("<I", total_samples) + block
 
 
 def decode_cert_request(payload: bytes) -> tuple[FairnessSpec, int, bytes | None]:
+    """The spec, the total and the public augmentor block (None for a
+    private spec); ProtocolError for anything else."""
     try:
         spec, offset = decode_fairness_spec(payload, 0)
     except MalformedCertificateError as exc:
@@ -298,21 +299,12 @@ def decode_cert_request(payload: bytes) -> tuple[FairnessSpec, int, bytes | None
         (total,) = struct.unpack_from("<I", payload, offset)
     except struct.error as exc:
         raise ProtocolError("truncated certification request") from exc
-    offset += 4
-    if offset >= len(payload):
-        raise ProtocolError("certification request missing its mode byte")
-    mode, block = payload[offset], payload[offset + 1 :]
-    if mode not in (MODE_PRIVATE_BYTE, MODE_AUGMENTED_BYTE):
-        raise ProtocolError(f"unknown certification mode {mode}")
-    if (mode == MODE_AUGMENTED_BYTE) != spec.augmented:
-        raise ProtocolError("certification request mode byte disagrees with its spec")
-    if mode == MODE_PRIVATE_BYTE:
-        if block:
-            raise ProtocolError("trailing bytes after a private-mode request")
-        return spec, total, None
-    if len(block) != CONFIG_BYTES:
-        raise ProtocolError(f"augmented request needs a {CONFIG_BYTES}-byte config block")
-    return spec, total, block
+    block, size = payload[offset + 4 :], CONFIG_BYTES if spec.augmented else 0
+    if len(block) != size:
+        raise ProtocolError(
+            f"{spec.fairness_string} request has a {len(block)}-byte augmentor block, not {size}"
+        )
+    return spec, total, block or None
 
 
 @dataclass(frozen=True)
@@ -351,18 +343,11 @@ class Regulator:
         spec: FairnessSpec,
         aug: AugmentorConfig | None = None,
     ):
-        if spec.augmented and aug is None:
-            raise ValueError("augmented spec requires an augmentor config")
-        if not spec.augmented and aug is not None:
-            raise ValueError("augmentor config given but the spec is private-mode")
         self.keypair = keypair
         self.dataset = canonical_order(dataset)
         self.spec = spec
         self.aug = aug
-        # What the server learns: the spec, the total and, in augmented
-        # mode, the public augmentor parameters; never the seed.
-        aug_public = aug.encode_public() if aug is not None else None
-        self._request = encode_cert_request(spec, len(self.dataset.groups), aug_public)
+        self._request = encode_cert_request(spec, len(self.dataset.groups), aug)
         self._dealer_input: bytes | None = None
         self._required: tuple[int, tuple[int, ...]] | None = None
 

@@ -565,6 +565,7 @@ def test_a_bad_input_file_exits_3_with_one_line(tmp_path, config_path, capsys, a
 
 BOUND = ["--efg", "0", "--delta", "0.05", "--groups", "2"]
 DEALER = ["--dealer", "127.0.0.1:9"]
+KNN = ["attack-knn", "--config", "{config}", "--unfair-rates", "0,0.1"]
 
 
 @pytest.mark.parametrize(
@@ -600,6 +601,28 @@ DEALER = ["--dealer", "127.0.0.1:9"]
          "noise_sigma must be a nonnegative"),
         (["gen-data", "--config", "C", "--group-counts", "5,-1", "--out", "O"],
          "--group-counts: -1 is negative"),
+        (["gen-model", "--config", "{config}", "--rates", "0.1", "--out", "{out}"],
+         "--rates: one error rate per group required"),
+        (["gen-model", "--config", "{config}", "--rates", "0.1,1", "--out", "{out}"],
+         "--rates: error rates must lie in [0, 1)"),
+        (["gen-data", "--config", "{config}", "--group-counts", "5", "--out", "{out}"],
+         "--group-counts: one count per group required"),
+        (["gen-data", "--config", "C", "--m", "-3", "--out", "O"], "--m: -3 is negative"),
+        (["experiment-coverage", "--config", "C", "--trials", "0"], "--trials: 0 is not positive"),
+        (["augment-sweep", "--config", "C", "--m", "0"], "--m: 0 is not positive"),
+        (["augment-sweep", "--config", "{config}", "--m", "1"],
+         "--m: a compared cell has no samples"),
+        ([*KNN, "--fair-rates", "0.1", "--taus", "1"],
+         "--fair-rates: one error rate per group required"),
+        ([*KNN, "--fair-rates", "0,0", "--taus", "0,-1"], "--taus: -1 is not a nonnegative"),
+        ([*KNN, "--fair-rates", "0,0", "--taus", "1e200"], "--taus: 1e200 is too large"),
+        ([*KNN, "--fair-rates", "0,0", "--taus", "1", "--ref-size", "0"],
+         "--ref-size: 0 is not positive"),
+        (["bound", "--eps", "0.1", "--efg", "0", "--delta", "0.05", "--groups", "0"],
+         "--groups: 0 is not positive"),
+        (["bound", "--eps", "0.1", *BOUND, "--labels", "0"], "--labels: 0 is not positive"),
+        (["estimate-gates", "--model-bytes", "0", "--weight-bits", "8"],
+         "--model-bytes: 0 is not positive"),
     ],
     ids=(
         "port-too-large", "port-not-a-number", "missing",
@@ -609,13 +632,21 @@ DEALER = ["--dealer", "127.0.0.1:9"]
         "estimate-gates-without-sizes", "infer-server-without-cert", "mode-is-gone",
         "seed-negative", "mask-prob-above-one", "invoke-prob-above-one", "degree-above-one",
         "aug-sigma-negative", "group-count-negative",
+        "rates-one-short", "rate-of-one", "group-counts-one-short", "m-negative",
+        "trials-zero", "sweep-m-zero", "sweep-m-leaves-a-group-empty", "fair-rates-one-short",
+        "tau-negative", "tau-too-large", "ref-size-zero", "groups-zero", "labels-zero",
+        "model-bytes-zero",
     ),
 )
-def test_a_bad_endpoint_is_a_usage_error(argv, message, capsys):
+def test_a_bad_endpoint_is_a_usage_error(argv, message, tmp_path, config_path, capsys):
+    """Every flag, not only endpoints: a value that does not parse, lies out
+    of range or disagrees with the config file exits 2 with one stderr line."""
+    paths = dict(config=config_path, out=tmp_path / "out.bin")
     with pytest.raises(SystemExit) as exit_info:
-        main(argv)
+        main([arg.format(**paths) for arg in argv])
     assert exit_info.value.code == 2
-    assert message in capsys.readouterr().err
+    [line] = capsys.readouterr().err.splitlines()
+    assert message in line
 
 # --- gate estimates -----------------------------------------------------------------
 

@@ -116,38 +116,40 @@ def test_bundle_round_trip_augmented():
     assert decoded == dataset
 
 
-def test_bundle_rejects_missing_mode_and_unknown_mode():
+def test_bundle_refuses_a_block_that_disagrees_with_its_spec():
     from faircert.crypto import encode_fairness_spec
-    from faircert.model import MalformedDatasetError
+    from faircert.model import MalformedDatasetError, encode_dataset
 
     with pytest.raises(MalformedDatasetError):
         decode_test_bundle(encode_fairness_spec(CHEAP_SPEC))
-    model_bytes, bundle, dataset, _ = planted_inputs()
-    broken = bytearray(bundle)
-    broken[len(bundle) - len(bundle) + bundle.index(b"FDAT1") - 1] = 9
-    with pytest.raises(MalformedDatasetError):
-        decode_test_bundle(bytes(broken))
-    # a mode byte that disagrees with the spec, either way round
+    model_bytes, _, dataset, _ = planted_inputs()
+    # A config block after a private spec, and none after an augmented one:
+    # each is read as a dataset that does not parse, and the session aborts.
     aug = AugmentorConfig(master_seed=b"\x55" * 8)
     augmented = replace(CHEAP_SPEC, alpha=CHEAP_SPEC.epsilon)
-    private_with_aug = encode_test_bundle(CHEAP_SPEC, dataset, aug)
-    for mismatched in (private_with_aug, encode_test_bundle(augmented, dataset)):
-        with pytest.raises(MalformedDatasetError, match="disagrees with its spec"):
+    for spec, block in ((CHEAP_SPEC, aug.encode()), (augmented, b"")):
+        mismatched = encode_fairness_spec(spec) + block + encode_dataset(dataset)
+        with pytest.raises(MalformedDatasetError):
             decode_test_bundle(mismatched)
-    assert abort_reason_of(model_bytes, private_with_aug) == ABORT_SIZE_MISMATCH
+        assert abort_reason_of(model_bytes, mismatched) == ABORT_SIZE_MISMATCH
+    # The encoder refuses a config that disagrees with the spec, either way round.
+    with pytest.raises(ValueError, match="takes no augmentor config"):
+        encode_test_bundle(CHEAP_SPEC, dataset, aug)
+    with pytest.raises(ValueError, match="needs an augmentor config"):
+        encode_test_bundle(augmented, dataset)
 
 
 @st.composite
 def bundles(draw):
-    aug = None
-    if draw(st.booleans()):
-        aug = AugmentorConfig(master_seed=draw(st.binary(min_size=8, max_size=8)))
     spec = FairnessSpec(
         metric=draw(st.sampled_from(list(FairnessMetric))),
         epsilon=Fraction(1, 2),
         delta=Fraction(1, 5),
-        alpha=Fraction(1, 4) if aug is not None else None,
+        alpha=draw(st.sampled_from((None, Fraction(1, 4)))),
     )
+    aug = None
+    if spec.augmented:
+        aug = AugmentorConfig(master_seed=draw(st.binary(min_size=8, max_size=8)))
     dim = draw(st.integers(1, 3))
     groups, labels = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     samples = draw(

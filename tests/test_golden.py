@@ -91,7 +91,7 @@ def labels_digest(model, dataset) -> str:
 def test_private_bundle_bytes():
     regulator, _, _, _ = certification_setup(group_counts=(200, 200))
     bundle = encode_test_bundle(regulator.spec, regulator.dataset, regulator.aug)
-    assert sha3(bundle) == "f231b787d5474ed20de2fb6a49c0c6ed62d83ca8c04fc307bfe77d14ff7c38a8"
+    assert sha3(bundle) == "2f73aa18d28568e502b8ce70c8077a98761976de74983b9c6a9d55422a8c52b9"
 
 
 def test_augmented_bundle_bytes():
@@ -99,26 +99,49 @@ def test_augmented_bundle_bytes():
         group_counts=(200, 200), spec=AUG_SPEC, aug=AUG
     )
     bundle = encode_test_bundle(regulator.spec, regulator.dataset, regulator.aug)
-    assert sha3(bundle) == "20160805553a6410ba1cc0ef62ec81955f1898900d1e0f44e45ad61ba1b98866"
+    assert sha3(bundle) == "ce270b236f728222f8b637873c42155a23160b32c4ab4a05b3e5c0bff4861112"
+
+
+def _wires(run) -> bytes:
+    """Every recorded channel's sent frames, each channel led by its name."""
+    recorders = run.recorders
+    return b"".join(name.encode() + b"".join(recorders[name].sent) for name in sorted(recorders))
 
 
 def _certify(**kwargs):
     regulator, server, _, _ = certification_setup(group_counts=(200, 200), **kwargs)
     run = run_certification_local(regulator, server)
     assert isinstance(run.regulator_result, Certificate)
-    return run.regulator_result.to_bytes(), "\n".join(run.session.transcript_lines())
+    transcript = "\n".join(run.session.transcript_lines())
+    return run.regulator_result.to_bytes(), transcript, _wires(run)
 
 
 def test_private_certificate_and_transcript():
-    cert, transcript = _certify()
+    cert, transcript, _ = _certify()
     assert sha3(cert) == "aeb3f82d51d826db86764503c38ca920063c2fbea00d584e5ea3456d771c067b"
-    assert sha3(transcript.encode()) == "dc451f1f381266794f2be3d99f6247be9db53b3162470021ccb9ef965e8451a7"
+    assert sha3(transcript.encode()) == "abc3b675a8c53edfdb3a196b281114ee96041fee3f416c7126c00a04df2e2929"
 
 
 def test_augmented_certificate_and_transcript():
-    cert, transcript = _certify(spec=AUG_SPEC, aug=AUG)
+    cert, transcript, _ = _certify(spec=AUG_SPEC, aug=AUG)
     assert sha3(cert) == "070adbcfa7b7e5cab61a3a151462137b70f884141f03587f672d7382c9217a9d"
-    assert sha3(transcript.encode()) == "732d03fb33de79ddb312b484c12323436f13a0839bc1fd67f1aa65c453e6e337"
+    assert sha3(transcript.encode()) == "ef865f439b092c0a85e53237807236cc040d9d953bd981c93d422b4859db4ede"
+
+
+# The certification wire in both modes: the request, both compute inputs
+# and the certificate, as every recorded channel sent them.
+CERT_WIRES = {
+    "private": "f8e297a4ea019aa72418b1198cdda36014952922a983e031273c6f9fbdec5db1",
+    "augmented": "34c8a7a262a04a4ffcecd066958457a478458cb26351de38dde9e7707e759a9e",
+}
+
+
+def test_certification_wires():
+    digests = {
+        "private": sha3(_certify()[2]),
+        "augmented": sha3(_certify(spec=AUG_SPEC, aug=AUG)[2]),
+    }
+    assert digests == CERT_WIRES
 
 
 def test_linear_predictions():
@@ -179,9 +202,8 @@ def _inference_bytes(kind: str) -> bytes:
     lines = run.session.transcript_lines() + [
         f"{entry.party} {entry.name} {entry.length}" for entry in run.session.leakage_log
     ]
-    wires = [name.encode() + b"".join(run.recorders[name].sent) for name in sorted(run.recorders)]
     outcome = struct.pack("<H", result.label) + result.model_digest
-    return "\n".join(lines).encode() + b"".join(wires) + outcome
+    return "\n".join(lines).encode() + _wires(run) + outcome
 
 
 def test_inference_transcripts():

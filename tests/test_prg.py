@@ -15,9 +15,17 @@ from faircert.prg import (
     batches,
     derive_key,
     hash_u64,
-    stream,
     threshold,
 )
+
+
+def stream(key, first, words):
+    """Words first .. first + words - 1 of key's stream, read through batches."""
+    return b"".join(batches(key, first, words, 512))
+
+
+def restated_bytes(key, first, words):
+    return b"".join(w.to_bytes(8, "little") for w in restated_words(key, first, words))
 
 
 def test_stream_blocks_are_keyed_shake_squeezes():
@@ -167,7 +175,7 @@ word_index = st.one_of(
 
 @given(st.binary(min_size=1, max_size=24), word_index, word_index)
 def test_stream_equals_the_hashlib_restatement(key, first, words):
-    expected = b"".join(w.to_bytes(8, "little") for w in restated_words(key, first, words))
+    expected = restated_bytes(key, first, words)
     assert stream(key, first, words) == expected
     # CounterPrg reads the same words, one block at a time.
     prg = CounterPrg(key)
@@ -250,4 +258,4 @@ def test_batches_cut_the_stream_into_runs(key, first, words, batch):
     runs = list(batches(key, first, words, batch))
     sizes = [8 * min(batch, words - lo) for lo in range(0, words, batch)]
     assert [len(run) for run in runs] == sizes
-    assert b"".join(runs) == stream(key, first, words)
+    assert b"".join(runs) == restated_bytes(key, first, words)

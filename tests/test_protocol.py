@@ -225,7 +225,7 @@ def test_cert_request_round_trip_augmented():
     cfg = AugmentorConfig(
         master_seed=b"\x00" * 8, noise_sigma=100, invoke_prob=Fraction(1)
     )
-    payload = encode_cert_request(AUG_SPEC, 60, cfg.encode_public())
+    payload = encode_cert_request(AUG_SPEC, 60, cfg)
     spec, total, block = decode_cert_request(payload)
     assert spec == AUG_SPEC
     assert block == cfg.encode_public()
@@ -235,24 +235,29 @@ def test_cert_request_round_trip_augmented():
 def test_cert_request_rejects_malformed():
     payload = encode_cert_request(CHEAP_SPEC, 1, None)
     with pytest.raises(ProtocolError):
-        decode_cert_request(payload + b"\x00")
-    with pytest.raises(ProtocolError):
-        decode_cert_request(payload[:-2])
-    bad_mode = payload[:-1] + b"\x07"
-    with pytest.raises(ProtocolError):
-        decode_cert_request(bad_mode)
-    # a mode byte that disagrees with the spec, either way round
+        decode_cert_request(payload[:-1])  # a truncated total
+    # A block whose length disagrees with the spec: any block after a
+    # private spec, and none, a short or a long one after an augmented spec.
+    augmented = encode_cert_request(AUG_SPEC, 1, AUG)
     for mismatched in (
-        encode_cert_request(CHEAP_SPEC, 1, AUG.encode_public()),
-        encode_cert_request(AUG_SPEC, 1, None),
+        payload + b"\x00",
+        payload + AUG.encode_public(),
+        augmented[:-16],
+        augmented[:-1],
+        augmented + b"\x00",
     ):
-        with pytest.raises(ProtocolError, match="disagrees with its spec"):
+        with pytest.raises(ProtocolError, match="augmentor block"):
             decode_cert_request(mismatched)
+    # The encoder refuses a config that disagrees with the spec, either way round.
+    with pytest.raises(ValueError, match="takes no augmentor config"):
+        encode_cert_request(CHEAP_SPEC, 1, AUG)
+    with pytest.raises(ValueError, match="needs an augmentor config"):
+        encode_cert_request(AUG_SPEC, 1, None)
 
 
-@given(specs(), st.integers(0, 2**32 - 1), st.booleans(), st.binary(max_size=60), st.data())
-def test_cert_request_decode_raises_only_protocol_error(spec, total, augmented, noise, data):
-    blob = encode_cert_request(spec, total, bytes(range(16)) if augmented else None)
+@given(specs(), st.integers(0, 2**32 - 1), st.binary(max_size=60), st.data())
+def test_cert_request_decode_raises_only_protocol_error(spec, total, noise, data):
+    blob = encode_cert_request(spec, total, AUG if spec.augmented else None)
     returns_or_raises(decode_cert_request, (noise, mutated(data, blob)), ProtocolError)
 
 
